@@ -1,13 +1,19 @@
 // WAL hot-path benchmark: append/commit throughput of the submission log
-// under its three durability disciplines, plus recovery replay speed.
+// under its three durability disciplines, the commit latency of a lone
+// appender, plus recovery replay speed.
 //
-//   * sync     -- one fsync per record (commit_wait_micros = 0, single
-//                 appender): the worst-case latency floor.
+//   * sync     -- one fsync per record (single appender, back to back):
+//                 the worst-case latency floor.
 //   * group    -- 8 concurrent appenders sharing group commits: the serve
 //                 path under load. The figure of merit is records per
 //                 fsync (batching efficiency), not just throughput.
 //   * buffered -- AppendBuffered + one Sync barrier per batch: the
 //                 micro-batch outcome path (one barrier per flush).
+//   * lone     -- one appender paced at 1,500 records/s with fsync off,
+//                 alternating Append (a journal admit) and AppendBuffered
+//                 + Sync (a one-submission outcome barrier). It times the
+//                 commit protocol itself, not the disk: any wait a leader
+//                 adds for companions that never come shows up here.
 //   * replay   -- sequential scan + CRC check of the log written by the
 //                 buffered pass: recovery-time cost per record.
 //
@@ -16,6 +22,7 @@
 // numbers depend heavily on the backing filesystem, which is why the
 // trend gate keys on regressions, not absolutes.
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "durability/wal.h"
 
 namespace {
@@ -33,10 +41,11 @@ using namespace slade;
 
 constexpr size_t kPayloadBytes = 128;
 
-WalOptions Options(const std::string& dir, uint64_t commit_wait_micros) {
+constexpr double kLoneRecordsPerSecond = 1500.0;
+
+WalOptions Options(const std::string& dir) {
   WalOptions options;
   options.dir = dir;
-  options.commit_wait_micros = commit_wait_micros;
   return options;
 }
 
@@ -91,6 +100,7 @@ int main(int argc, char** argv) {
   const uint64_t group_per_thread = smoke ? 128 : 1024;
   const uint64_t buffered_records = smoke ? 8192 : 65536;
   const uint64_t buffered_batch = 64;  // outcomes per Sync barrier
+  const uint64_t lone_records = smoke ? 300 : 3000;
 
   std::cout << "WAL submission-log throughput ("
             << kPayloadBytes << "-byte payloads"
@@ -100,11 +110,12 @@ int main(int argc, char** argv) {
   slade_bench::BenchJsonWriter json("wal");
   TablePrinter table({"mode", "records", "wall (ms)", "krec/s", "fsyncs",
                       "rec/fsync"});
+  TablePrinter latency_table({"lone commit", "calls", "p50 (us)", "p99 (us)"});
 
   // --- sync: every append is its own durability barrier --------------------
   {
     const std::string dir = FreshDir("sync");
-    auto writer = WalWriter::Open(Options(dir, 0));
+    auto writer = WalWriter::Open(Options(dir));
     if (!writer.ok()) {
       std::cerr << "open failed: " << writer.status().ToString() << "\n";
       return 1;
@@ -125,7 +136,7 @@ int main(int argc, char** argv) {
   // --- group: 8 appenders share commits via the group-commit leader --------
   {
     const std::string dir = FreshDir("group");
-    auto writer = WalWriter::Open(Options(dir, 200));
+    auto writer = WalWriter::Open(Options(dir));
     if (!writer.ok()) return 1;
     Stopwatch watch;
     std::vector<std::thread> threads;
@@ -152,7 +163,7 @@ int main(int argc, char** argv) {
   // --- buffered: micro-batch discipline, one barrier per batch -------------
   const std::string replay_dir = FreshDir("buffered");
   {
-    auto writer = WalWriter::Open(Options(replay_dir, 0));
+    auto writer = WalWriter::Open(Options(replay_dir));
     if (!writer.ok()) return 1;
     Stopwatch watch;
     for (uint64_t i = 0; i < buffered_records; ++i) {
@@ -168,6 +179,55 @@ int main(int argc, char** argv) {
     pass.records = buffered_records;
     pass.fsyncs = (*writer)->stats().fsyncs;
     Report(json, table, "buffered", pass);
+  }
+
+  // --- lone: paced single appender, admits and outcome barriers -----------
+  {
+    const std::string dir = FreshDir("lone");
+    WalOptions options = Options(dir);
+    options.fsync = false;  // time the commit protocol, not the disk
+    auto writer = WalWriter::Open(options);
+    if (!writer.ok()) return 1;
+    const auto period =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(1.0 / kLoneRecordsPerSecond));
+    std::vector<double> admit_us;
+    std::vector<double> barrier_us;
+    Stopwatch watch;
+    auto next = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < lone_records; ++i) {
+      std::this_thread::sleep_until(next);
+      next += period;
+      Stopwatch op;
+      if (i % 2 == 0) {
+        if (!(*writer)->Append(WalRecordType::kAdmit, payload).ok()) return 1;
+        admit_us.push_back(op.ElapsedSeconds() * 1e6);
+      } else {
+        if (!(*writer)->AppendBuffered(WalRecordType::kComplete, payload)
+                 .ok() ||
+            !(*writer)->Sync().ok()) {
+          return 1;
+        }
+        barrier_us.push_back(op.ElapsedSeconds() * 1e6);
+      }
+    }
+    PassResult pass;
+    pass.seconds = watch.ElapsedSeconds();
+    pass.records = lone_records;
+    pass.fsyncs = (*writer)->stats().fsyncs;
+    Report(json, table, "lone", pass);
+    json.Field("admit_latency_us_p50", Percentile(admit_us, 50));
+    json.Field("barrier_latency_us_p50", Percentile(barrier_us, 50));
+    latency_table.AddRow(
+        {"Append (admit)", std::to_string(admit_us.size()),
+         TablePrinter::FormatDouble(Percentile(admit_us, 50), 1),
+         TablePrinter::FormatDouble(Percentile(admit_us, 99), 1)});
+    latency_table.AddRow(
+        {"AppendBuffered+Sync (barrier)", std::to_string(barrier_us.size()),
+         TablePrinter::FormatDouble(Percentile(barrier_us, 50), 1),
+         TablePrinter::FormatDouble(Percentile(barrier_us, 99), 1)});
+    writer->reset();
+    std::filesystem::remove_all(dir);
   }
 
   // --- replay: recovery-time scan of the buffered log ----------------------
@@ -196,6 +256,10 @@ int main(int argc, char** argv) {
               "WAL: append/commit throughput per durability discipline "
               "(rec/fsync = group-commit batching efficiency)");
   table.Print(std::cout);
+  PrintBanner(std::cout,
+              "WAL: lone-appender commit latency at 1,500 records/s "
+              "(fsync off: the commit protocol alone)");
+  latency_table.Print(std::cout);
   json.Write();
   return 0;
 }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -94,6 +93,24 @@ Status FsyncDir(const std::string& dir) {
   ::close(fd);
   if (rc != 0) return Status::IOError(ErrnoMessage("fsync dir " + dir));
   return Status::OK();
+}
+
+/// Cuts a torn segment back to `size` bytes and fsyncs the file. The new
+/// size must be durable before any later segment is unlinked: should it be
+/// lost in a host crash, the torn tail would reappear in front of the
+/// segments a post-recovery writer creates, and the next replay would stop
+/// there and drop all of them.
+Status TruncateDurably(const std::string& path, uint64_t size) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError(ErrnoMessage("open " + path));
+  Status st;
+  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    st = Status::IOError(ErrnoMessage("ftruncate " + path));
+  } else if (::fsync(fd) != 0) {
+    st = Status::IOError(ErrnoMessage("fsync " + path));
+  }
+  ::close(fd);
+  return st;
 }
 
 Status WriteAll(int fd, const char* data, size_t size,
@@ -230,9 +247,6 @@ Result<WalAppendResult> WalWriter::Append(WalRecordType type,
                                           std::string_view payload) {
   std::unique_lock<std::mutex> lock(mutex_);
   SLADE_ASSIGN_OR_RETURN(WalAppendResult result, AppendLocked(type, payload));
-  // Wake a leader stuck in its commit-wait: a companion has arrived, so
-  // the batch can close early.
-  commit_cv_.notify_all();
   SLADE_RETURN_NOT_OK(CommitUpToLocked(result.seq, lock));
   return result;
 }
@@ -259,16 +273,10 @@ Status WalWriter::CommitUpToLocked(uint64_t seq,
       commit_cv_.wait(lock);
       continue;
     }
+    // Lead a commit of everything buffered so far, without waiting for
+    // companions: records appended while this write+fsync is in flight
+    // pile up in buffer_ and form the next leader's batch.
     committer_active_ = true;
-    if (options_.commit_wait_micros > 0 &&
-        appended_seq_ == durable_seq_ + 1) {
-      // Lone record: hold the fsync briefly so concurrent appenders can
-      // join this batch. A new arrival wakes us immediately.
-      commit_cv_.wait_for(
-          lock, std::chrono::microseconds(options_.commit_wait_micros), [&] {
-            return appended_seq_ > durable_seq_ + 1 || !io_error_.ok();
-          });
-    }
     std::string batch;
     batch.swap(buffer_);
     const uint64_t target = appended_seq_;
@@ -448,9 +456,7 @@ Result<std::vector<WalRecoveredRecord>> ReplayWal(const std::string& dir,
       out.truncated = true;
       out.truncate_reason = reason;
       out.truncated_bytes += data.size() - pos;
-      if (repair && ::truncate(path.c_str(), static_cast<off_t>(pos)) != 0) {
-        return Status::IOError(ErrnoMessage("truncate " + path));
-      }
+      if (repair) SLADE_RETURN_NOT_OK(TruncateDurably(path, pos));
       stop_segment_index = i;
       break;
     }

@@ -30,14 +30,17 @@
 //
 // Group commit. Any number of threads may Append() concurrently; each
 // call blocks until its record is durable. The first thread to need a
-// commit becomes the leader: it waits a bounded commit-wait for
-// companions to pile into the shared buffer, then writes and fsyncs the
-// whole batch with ONE fsync and wakes every waiter whose record it
-// covered. Under a 64-worker HTTP front end this turns 64 fsyncs into a
-// handful per batch (see bench/bench_wal.cc). AppendBuffered()/Sync()
-// expose the same machinery batch-wise: the streaming engine journals a
-// whole micro-batch of outcomes and pays one durability barrier before
-// resolving any future.
+// commit becomes the leader: it immediately writes and fsyncs everything
+// in the shared buffer with ONE fsync and wakes every waiter whose record
+// it covered. It never sleeps waiting for companions; the write+fsync in
+// flight is the batching window -- records appended meanwhile queue up
+// and the next leader commits them together (LevelDB's writer queue,
+// PostgreSQL's default commit_delay = 0). A lone record therefore pays
+// one write+fsync and nothing more, while under a many-worker HTTP front
+// end the batches grow with the fsync latency (see bench/bench_wal.cc).
+// AppendBuffered()/Sync() expose the same machinery batch-wise: the
+// streaming engine journals a whole micro-batch of outcomes and pays one
+// durability barrier before resolving any future.
 //
 // Retention. The caller tracks which record sequence numbers are still
 // live (e.g. admitted-but-unresolved submissions) and calls
@@ -75,10 +78,6 @@ struct WalOptions {
   /// Rotate the active segment once it exceeds this size. The check runs
   /// at commit granularity, so a segment can overshoot by one batch.
   uint64_t segment_max_bytes = 64ull << 20;
-  /// Bounded commit-wait: a lone group-commit leader waits up to this
-  /// long for concurrent appenders to join its batch before fsyncing.
-  /// 0 = commit immediately (fsync per append when uncontended).
-  uint64_t commit_wait_micros = 200;
   /// When false, commits write() but skip fsync: records survive process
   /// death but not host death. For benchmarks and tests only.
   bool fsync = true;
@@ -210,8 +209,8 @@ struct WalRecoveryStats {
 /// at the first torn or corrupt frame (a crash can only tear the tail;
 /// anything after a tear is unreachable by the commit protocol). With
 /// `repair` set, the corrupt segment is truncated back to its last valid
-/// frame and later segments are deleted, so the directory is clean for a
-/// new WalWriter. A missing directory replays as empty.
+/// frame (and fsynced) before later segments are deleted, so the directory
+/// is clean for a new WalWriter. A missing directory replays as empty.
 Result<std::vector<WalRecoveredRecord>> ReplayWal(const std::string& dir,
                                                   bool repair,
                                                   WalRecoveryStats* stats);

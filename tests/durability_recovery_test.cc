@@ -68,7 +68,6 @@ class DurabilityRecoveryTest : public ::testing::Test {
   JournalOptions Options(const std::string& dir) {
     JournalOptions options;
     options.wal.dir = (root_ / dir).string();
-    options.wal.commit_wait_micros = 0;
     return options;
   }
 
@@ -139,7 +138,6 @@ TEST_F(DurabilityRecoveryTest, KillAfterAdmitRecoversThePendingSubmission) {
 
   JournalOptions recover_options;
   recover_options.wal.dir = image;
-  recover_options.wal.commit_wait_micros = 0;
   auto recovered = SubmissionJournal::Open(recover_options);
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(recovered->pending.size(), 1u);
@@ -164,7 +162,6 @@ TEST_F(DurabilityRecoveryTest, KillAfterBufferedCompleteStaysPending) {
 
   JournalOptions recover_options;
   recover_options.wal.dir = image;
-  recover_options.wal.commit_wait_micros = 0;
   auto recovered = SubmissionJournal::Open(recover_options);
   ASSERT_TRUE(recovered.ok());
   // The complete record may or may not have reached the file (it was
@@ -195,7 +192,6 @@ TEST_F(DurabilityRecoveryTest, KillAfterSyncNeverLosesTheAckedOutcome) {
 
   JournalOptions recover_options;
   recover_options.wal.dir = image;
-  recover_options.wal.commit_wait_micros = 0;
   auto recovered = SubmissionJournal::Open(recover_options);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE(recovered->pending.empty());
@@ -218,7 +214,6 @@ TEST_F(DurabilityRecoveryTest, TornWriteDegradesToThePreviousSafeState) {
 
   JournalOptions recover_options;
   recover_options.wal.dir = image;
-  recover_options.wal.commit_wait_micros = 0;
   auto recovered = SubmissionJournal::Open(recover_options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const JournalStats stats = recovered->journal->stats();
@@ -250,7 +245,6 @@ TEST_F(DurabilityRecoveryTest, BitFlipNeverCrashesRecovery) {
     FlipBitFromEnd(image, back);
     JournalOptions recover_options;
     recover_options.wal.dir = image;
-    recover_options.wal.commit_wait_micros = 0;
     auto recovered = SubmissionJournal::Open(recover_options);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     const JournalStats stats = recovered->journal->stats();
@@ -303,7 +297,6 @@ TEST_F(DurabilityRecoveryTest, AckedSubmissionSurvivesACrashImage) {
     const std::string image = TakeCrashImage("live", "image");
     JournalOptions recover_options;
     recover_options.wal.dir = image;
-    recover_options.wal.commit_wait_micros = 0;
     auto recovered = SubmissionJournal::Open(recover_options);
     ASSERT_TRUE(recovered.ok());
     SubmissionOutcome outcome;

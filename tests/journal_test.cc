@@ -49,7 +49,6 @@ class JournalTest : public ::testing::Test {
   JournalOptions Options() {
     JournalOptions options;
     options.wal.dir = dir_.string();
-    options.wal.commit_wait_micros = 0;
     return options;
   }
 

@@ -122,7 +122,6 @@ class ServerIntegrationTest : public ::testing::Test {
     std::filesystem::remove_all(wal_dir_);
     JournalOptions journal_options;
     journal_options.wal.dir = wal_dir_.string();
-    journal_options.wal.commit_wait_micros = 0;
     auto opened = SubmissionJournal::Open(journal_options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     journal_ = std::move(opened->journal);
@@ -500,7 +499,6 @@ TEST_F(ServerIntegrationTest, ShutdownCheckpointMakesTheNextStartClean) {
 
   JournalOptions journal_options;
   journal_options.wal.dir = wal_dir_.string();
-  journal_options.wal.commit_wait_micros = 0;
   auto reopened = SubmissionJournal::Open(journal_options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_TRUE(reopened->journal->stats().recovery.clean_shutdown);

@@ -10,10 +10,16 @@ and improvements where bigger is better (hit rate, throughput).
 
 Two gating knobs, independent of the --threshold report filter:
   --strict            exit 1 on any regression beyond --threshold
-  --max-regress-pct P exit 1 only when a regression exceeds P percent --
-                      the blocking-CI mode: small drifts print, runaway
+  --max-regress-pct P exit 1 when a regression reaches P percent -- the
+                      blocking-CI mode: small drifts print, runaway
                       regressions fail the PR. Pick P well above runner
                       timing noise (the CI gate uses 200).
+
+A regression is scored by how many times worse the metric got, minus one:
+(fresh - base) / base where bigger is worse, base / fresh - 1 where bigger
+is better. Both read +100% for "twice as bad" and +200% for "three times
+as bad", and a throughput collapse to zero scores infinite -- a plain
+relative drop could never exceed 100% and so never trip the gate.
 
 Usage:
   tools/bench_trend.py [--fresh DIR] [--baseline DIR]
@@ -24,6 +30,7 @@ import argparse
 import collections
 import glob
 import json
+import math
 import os
 import sys
 
@@ -31,8 +38,8 @@ import sys
 # hypothetical "latency_rate" is treated conservatively.
 WORSE_IF_BIGGER = ("latency", "seconds", "wall", "eviction", "rejected",
                    "shed", "blocked", "bytes", "dropped")
-BETTER_IF_BIGGER = ("hit_rate", "per_second", "throughput", "delivered",
-                    "speedup", "accuracy")
+BETTER_IF_BIGGER = ("hit_rate", "per_second", "per_fsync", "throughput",
+                    "delivered", "speedup", "accuracy")
 
 
 def classify(field):
@@ -42,6 +49,17 @@ def classify(field):
     if any(s in name for s in BETTER_IF_BIGGER):
         return "better-if-bigger"
     return "neutral"
+
+
+def regression_pct(kind, base, fresh):
+    """How much worse `fresh` is than `base`, in percent (<= 0: not worse)."""
+    if kind == "worse-if-bigger":
+        return (fresh - base) / (abs(base) if base != 0 else 1.0) * 100.0
+    if kind == "better-if-bigger":
+        if fresh >= base:
+            return 0.0
+        return math.inf if fresh <= 0 else (base / fresh - 1.0) * 100.0
+    return 0.0
 
 
 def record_key(record):
@@ -128,15 +146,14 @@ def main():
                     continue
                 kind = classify(field)
                 verdict = ""
-                if kind == "worse-if-bigger":
-                    verdict = "REGRESSION" if delta_pct > 0 else "improved"
-                elif kind == "better-if-bigger":
-                    verdict = "REGRESSION" if delta_pct < 0 else "improved"
+                if kind != "neutral":
+                    regress = regression_pct(kind, base_value, fresh_value)
+                    verdict = "REGRESSION" if regress > 0 else "improved"
                 if verdict == "REGRESSION":
                     regressions += 1
                     if (args.max_regress_pct is not None
-                            and abs(delta_pct) > args.max_regress_pct):
-                        blocking.append((bench, config, field, delta_pct))
+                            and regress >= args.max_regress_pct):
+                        blocking.append((bench, config, field, regress))
                 rows.append([bench, config, field, f"{base_value:.6g}",
                              f"{fresh_value:.6g}", f"{delta_pct:+.1f}%",
                              verdict])
@@ -157,10 +174,10 @@ def main():
     print(f"\nbench_trend: {len(rows)} delta(s) beyond "
           f"{args.threshold:.0f}%, {regressions} flagged as regressions")
     if blocking:
-        print(f"bench_trend: {len(blocking)} regression(s) exceed the "
+        print(f"bench_trend: {len(blocking)} regression(s) reach the "
               f"blocking gate of {args.max_regress_pct:.0f}%:")
-        for bench, config, field, delta_pct in blocking:
-            print(f"  {bench} | {config} | {field}: {delta_pct:+.1f}%")
+        for bench, config, field, regress in blocking:
+            print(f"  {bench} | {config} | {field}: {regress:+.1f}% worse")
         return 1
     if args.strict and regressions > 0:
         return 1

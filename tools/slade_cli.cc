@@ -57,7 +57,6 @@
 //                      [--tenant-weights a=2,b=1] [--tenant-max-atomic N]
 //                      [--tenant-max-bytes B]
 //                      [--wal-dir DIR] [--wal-segment-bytes B]
-//                      [--commit-wait-micros U]
 //                      [--replay TIMED.csv] [--replay-speed X]
 //                      [--replay-loop N] [--replay-id-prefix P]
 //                      [+ the stream admission/backpressure flags]
@@ -74,12 +73,14 @@
 //       `submission_id` with POST /v1/submit), and on startup the WAL
 //       is replayed -- unfinished submissions are re-admitted and
 //       re-solved, finished ones answer duplicates without re-billing.
-//       Shutdown writes a clean checkpoint so the next start skips the
-//       replay scan. --replay feeds a timed workload tape through the
-//       ingestion connector in the background alongside HTTP traffic
-//       (--replay-speed 1 = recorded timing, 0 = unpaced;
-//       --replay-loop 0 = loop forever; --replay-id-prefix makes the
-//       feed idempotent across restarts on the same WAL).
+//       Concurrent admissions share fsyncs without waiting for each
+//       other: whatever is logged while one fsync is in flight goes out
+//       together in the next. Shutdown writes a clean checkpoint so the
+//       next start skips the replay scan. --replay feeds a timed
+//       workload tape through the ingestion connector in the background
+//       alongside HTTP traffic (--replay-speed 1 = recorded timing, 0 =
+//       unpaced; --replay-loop 0 = loop forever; --replay-id-prefix
+//       makes the feed idempotent across restarts on the same WAL).
 //       --profiles name=FILE,... registers one crowdsourcing platform
 //       per bin-profile CSV in a ProfileRegistry and routes each
 //       submission to the cheapest platform that meets its thresholds
@@ -205,8 +206,7 @@ int Usage() {
       "                     [--fair-quantum N] [--default-weight W] "
       "[--tenant-weights a=2,b=1]\n"
       "                     [--tenant-max-atomic N] [--tenant-max-bytes B]\n"
-      "                     [--wal-dir DIR] [--wal-segment-bytes B] "
-      "[--commit-wait-micros U]\n"
+      "                     [--wal-dir DIR] [--wal-segment-bytes B]\n"
       "                     [--replay FILE] [--replay-speed X] "
       "[--replay-loop N]\n"
       "                     [--replay-id-prefix P]\n"
@@ -968,9 +968,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     JournalOptions journal_options;
     journal_options.wal.dir = it->second;
     if (!ParseUintFlag(flags, "wal-segment-bytes",
-                       &journal_options.wal.segment_max_bytes) ||
-        !ParseUintFlag(flags, "commit-wait-micros",
-                       &journal_options.wal.commit_wait_micros)) {
+                       &journal_options.wal.segment_max_bytes)) {
       return 1;
     }
     if (journal_options.wal.segment_max_bytes == 0) {
