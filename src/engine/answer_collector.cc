@@ -13,17 +13,14 @@ struct DispatchJob {
 };
 
 // Validates and pre-translates every placement before anything is
-// enqueued, so a malformed plan never half-dispatches. Shared between the
-// AoS and columnar Dispatch overloads via the placement-view accessor.
-template <typename ViewFn>
+// enqueued, so a malformed plan never half-dispatches.
 Result<std::vector<DispatchJob>> BuildDispatchJobs(
-    size_t num_placements, ViewFn view,
-    const std::vector<TaskId>& global_of_local,
+    const ColumnarPlan& plan, const std::vector<TaskId>& global_of_local,
     const std::vector<bool>& ground_truth) {
   std::vector<DispatchJob> jobs;
-  jobs.reserve(num_placements);
-  for (size_t pi = 0; pi < num_placements; ++pi) {
-    const ColumnarPlan::PlacementView p = view(pi);
+  jobs.reserve(plan.num_placements());
+  for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+    const ColumnarPlan::PlacementView p = plan.view(pi);
     if (p.num_tasks == 0) continue;
     DispatchJob job;
     job.placement.cardinality = p.cardinality;
@@ -115,41 +112,12 @@ SimulatedDispatcher::SimulatedDispatcher(Platform& platform,
       pool_(pool),
       injector_(injector) {}
 
-Status SimulatedDispatcher::Dispatch(const DecompositionPlan& plan,
-                                     std::vector<TaskId> global_of_local,
-                                     const std::vector<bool>& ground_truth,
-                                     AnswerCollector* collector) {
-  const std::vector<BinPlacement>& placements = plan.placements();
-  SLADE_ASSIGN_OR_RETURN(
-      std::vector<DispatchJob> jobs,
-      BuildDispatchJobs(
-          placements.size(),
-          [&placements](size_t i) {
-            const BinPlacement& p = placements[i];
-            return ColumnarPlan::PlacementView{
-                p.cardinality, p.copies, p.tasks.data(),
-                static_cast<uint32_t>(p.tasks.size())};
-          },
-          global_of_local, ground_truth));
-  for (DispatchJob& job : jobs) {
-    auto shared = std::make_shared<DispatchJob>(std::move(job));
-    pool_.Submit([this, shared, collector] {
-      PostPlacementCopy(shared->placement, shared->placement.tasks,
-                        shared->truth, collector);
-    });
-  }
-  return Status::OK();
-}
-
 Status SimulatedDispatcher::Dispatch(const ColumnarPlan& plan,
                                      std::vector<TaskId> global_of_local,
                                      const std::vector<bool>& ground_truth,
                                      AnswerCollector* collector) {
-  SLADE_ASSIGN_OR_RETURN(
-      std::vector<DispatchJob> jobs,
-      BuildDispatchJobs(
-          plan.num_placements(), [&plan](size_t i) { return plan.view(i); },
-          global_of_local, ground_truth));
+  SLADE_ASSIGN_OR_RETURN(std::vector<DispatchJob> jobs,
+                         BuildDispatchJobs(plan, global_of_local, ground_truth));
   for (DispatchJob& job : jobs) {
     auto shared = std::make_shared<DispatchJob>(std::move(job));
     pool_.Submit([this, shared, collector] {

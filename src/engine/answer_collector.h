@@ -100,20 +100,13 @@ class SimulatedDispatcher {
   /// Give-up bound for a post stuck in outage verdicts.
   static constexpr int kMaxPostAttempts = 64;
 
-  /// Enqueues every placement copy of `plan` for posting. Placement task
-  /// ids are plan-local; `global_of_local[id]` translates them to the
-  /// global atomic-task ids used by `ground_truth` (indexed globally) and
-  /// by the collected answers. Returns immediately; answers land in
-  /// `collector` as posts complete. Fails fast (before enqueueing) on a
-  /// placement referencing an id outside the mapping.
-  Status Dispatch(const DecompositionPlan& plan,
-                  std::vector<TaskId> global_of_local,
-                  const std::vector<bool>& ground_truth,
-                  AnswerCollector* collector);
-
-  /// Columnar variant: placements are read straight off the flat columns
-  /// (the closed-loop hot path dispatches splitter slices without an AoS
-  /// conversion). Same validation, same posting order.
+  /// Enqueues every placement copy of `plan` for posting, read straight
+  /// off its flat columns. Placement task ids are plan-local;
+  /// `global_of_local[id]` translates them to the global atomic-task ids
+  /// used by `ground_truth` (indexed globally) and by the collected
+  /// answers. Returns immediately; answers land in `collector` as posts
+  /// complete. Fails fast (before enqueueing) on a placement referencing an
+  /// id outside the mapping.
   Status Dispatch(const ColumnarPlan& plan,
                   std::vector<TaskId> global_of_local,
                   const std::vector<bool>& ground_truth,

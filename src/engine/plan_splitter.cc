@@ -1,15 +1,15 @@
 #include "engine/plan_splitter.h"
 
 #include <cstdint>
-#include <map>
 #include <utility>
 
 namespace slade {
 
 namespace {
 
-/// Shared core: `owner_of_task[k]` is the slice index owning input task `k`
-/// (slice labels already fixed by the caller; empty slices are allowed).
+/// The cut itself: `owner_of_task[k]` is the slice index owning input task
+/// `k` (slice labels already fixed by the caller; empty slices are
+/// allowed).
 ///
 /// Works directly on the merged plan's columns. Placements owned entirely
 /// by one slice whose local ids are a constant shift of the global ids --
@@ -163,31 +163,6 @@ Result<std::vector<RequesterPlan>> PlanSplitter::SplitBySpans(
     return Status::InvalidArgument(
         "PlanSplitter: spans cover " + std::to_string(next_task) + " of " +
         std::to_string(num_tasks) + " input tasks");
-  }
-  return SplitByOwner(report, profile, owner_of_task, std::move(slices));
-}
-
-Result<std::vector<RequesterPlan>> PlanSplitter::SplitByRequester(
-    const BatchReport& report, const BinProfile& profile,
-    const std::vector<std::string>& requester_of_task) {
-  const size_t num_tasks = report.num_tasks();
-  if (requester_of_task.size() != num_tasks) {
-    return Status::InvalidArgument(
-        "PlanSplitter: " + std::to_string(requester_of_task.size()) +
-        " requester labels for " + std::to_string(num_tasks) +
-        " input tasks");
-  }
-  std::vector<size_t> owner_of_task(num_tasks, 0);
-  std::vector<RequesterPlan> slices;
-  std::map<std::string, size_t> slice_of_requester;
-  for (size_t k = 0; k < num_tasks; ++k) {
-    auto [it, inserted] =
-        slice_of_requester.emplace(requester_of_task[k], slices.size());
-    if (inserted) {
-      slices.emplace_back();
-      slices.back().requester_id = requester_of_task[k];
-    }
-    owner_of_task[k] = it->second;
   }
   return SplitByOwner(report, profile, owner_of_task, std::move(slices));
 }

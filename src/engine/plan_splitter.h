@@ -93,15 +93,6 @@ class PlanSplitter {
   static Result<std::vector<RequesterPlan>> SplitBySpans(
       const BatchReport& report, const BinProfile& profile,
       const std::vector<RequesterSpan>& spans);
-
-  /// Cuts `report.plan` into one slice per distinct requester label.
-  /// `requester_of_task[k]` names the owner of input task `k`; ownership
-  /// may interleave arbitrarily. Slices are returned in order of each
-  /// requester's first appearance, and their content is independent of
-  /// that order (only of which tasks each requester owns).
-  static Result<std::vector<RequesterPlan>> SplitByRequester(
-      const BatchReport& report, const BinProfile& profile,
-      const std::vector<std::string>& requester_of_task);
 };
 
 }  // namespace slade

@@ -1,6 +1,7 @@
 #include "engine/streaming_engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -21,7 +22,9 @@ EngineOptions ToEngineOptions(const StreamingOptions& options) {
 /// true on an empty pending queue and spin the worker forever, and "flush
 /// at 0 pending" can only mean "flush each submission immediately" anyway.
 /// The fairness quantum and default weight are floored at 1 for the same
-/// liveness reason: a zero quantum would never grant credit.
+/// liveness reason: a zero quantum would never grant credit. With fairness
+/// off every submission shares one tenant queue, so per-tenant weights and
+/// quotas are cleared rather than applied to that queue as a whole.
 StreamingOptions Sanitized(StreamingOptions options) {
   if (options.max_pending_atomic_tasks == 0) {
     options.max_pending_atomic_tasks = 1;
@@ -35,6 +38,11 @@ StreamingOptions Sanitized(StreamingOptions options) {
   if (options.fairness.default_weight == 0) {
     options.fairness.default_weight = 1;
   }
+  if (!options.fairness.enabled) {
+    options.fairness.weights.clear();
+    options.fairness.tenant_max_pending_atomic_tasks = 0;
+    options.fairness.tenant_max_pending_bytes = 0;
+  }
   return options;
 }
 
@@ -42,7 +50,8 @@ StreamingOptions Sanitized(StreamingOptions options) {
 
 StreamingEngine::StreamingEngine(BinProfile profile, StreamingOptions options)
     : options_(Sanitized(options)),
-      profile_(std::move(profile)),
+      unrouted_{/*platform_id=*/{}, /*epoch=*/0, /*salt=*/0,
+                std::make_shared<const BinProfile>(std::move(profile))},
       engine_(ToEngineOptions(options_)),
       governor_(options_.resources.queue_max_bytes,
                 options_.resources.queue_max_atomic_tasks),
@@ -125,22 +134,19 @@ uint64_t StreamingEngine::WeightOf(const std::string& tenant) const {
   return it->second;
 }
 
-bool StreamingEngine::AnyPendingLocked() const {
-  return options_.fairness.enabled ? pending_count_ > 0 : !pending_.empty();
-}
-
-size_t StreamingEngine::PendingCountLocked() const {
-  return options_.fairness.enabled ? pending_count_ : pending_.size();
+const std::string& StreamingEngine::TenantOf(
+    const std::string& requester) const {
+  static const std::string kSharedTenant;
+  return options_.fairness.enabled ? requester : kSharedTenant;
 }
 
 bool StreamingEngine::HasRoomLocked(const Pending& pending) const {
-  if (!AnyPendingLocked()) return true;
+  if (pending_count_ == 0) return true;
   return governor_.WouldFit(pending.bytes, pending.num_atomic);
 }
 
 std::chrono::steady_clock::time_point StreamingEngine::OldestAdmittedLocked()
     const {
-  if (!options_.fairness.enabled) return pending_.front().admitted;
   // Per-tenant queues are FIFO, so the global oldest is among the fronts.
   const Pending* oldest = nullptr;
   for (const auto& [tenant, state] : tenants_) {
@@ -157,33 +163,23 @@ void StreamingEngine::EnqueueLocked(Pending pending) {
   stats_.submissions += 1;
   stats_.tasks += pending.tasks.size();
   stats_.atomic_tasks += pending.num_atomic;
+  pending_count_ += 1;
   pending_atomic_ += pending.num_atomic;
-  if (!options_.fairness.enabled) {
-    pending_.push_back(std::move(pending));
-    return;
-  }
-  TenantState& state = tenants_[pending.requester];
+  const std::string& tenant = TenantOf(pending.requester);
+  TenantState& state = tenants_[tenant];
   state.counters.submissions += 1;
   state.counters.tasks += pending.tasks.size();
   state.counters.atomic_tasks += pending.num_atomic;
   state.pending_atomic += pending.num_atomic;
   state.pending_bytes += pending.bytes;
-  pending_count_ += 1;
   if (!state.in_ring) {
     state.in_ring = true;
-    ring_.push_back(pending.requester);
+    ring_.push_back(tenant);
   }
   state.queue.push_back(std::move(pending));
 }
 
 StreamingEngine::Pending StreamingEngine::PopOldestLocked() {
-  if (!options_.fairness.enabled) {
-    Pending victim = std::move(pending_.front());
-    pending_.pop_front();
-    pending_atomic_ -= victim.num_atomic;
-    governor_.Release(victim.bytes, victim.num_atomic);
-    return victim;
-  }
   TenantState* best = nullptr;
   for (auto& [tenant, state] : tenants_) {
     if (state.queue.empty()) continue;
@@ -204,24 +200,16 @@ StreamingEngine::Pending StreamingEngine::PopOldestLocked() {
 }
 
 std::vector<StreamingEngine::Pending> StreamingEngine::AssembleBatchLocked() {
+  // Deficit round-robin over the active tenant ring (one shared tenant
+  // when fairness is off, which makes it FIFO). Each visit earns
+  // quantum * weight atomic tasks of credit once; whole submissions are
+  // taken FIFO while credit lasts. The flush caps bound one micro-batch
+  // (the batch always takes at least one submission, so an oversized
+  // submission still progresses). A visit cut short by a full batch keeps
+  // its ring-front spot and resumes in the next batch, which the worker
+  // starts immediately, on the credit it has left.
   std::vector<Pending> batch;
-  if (!options_.fairness.enabled) {
-    batch.reserve(pending_.size());
-    for (Pending& p : pending_) {
-      governor_.Release(p.bytes, p.num_atomic);
-      batch.push_back(std::move(p));
-    }
-    pending_.clear();
-    pending_atomic_ = 0;
-    return batch;
-  }
-
-  // Deficit round-robin over the active tenant ring. Each visit earns
-  // quantum * weight atomic tasks of credit; whole submissions are taken
-  // FIFO while credit lasts. The flush caps bound one micro-batch (the
-  // batch always takes at least one submission, so an oversized
-  // submission still progresses); leftovers stay queued for the next
-  // batch, which the worker starts immediately.
+  batch.reserve(std::min(pending_count_, options_.max_pending_submissions));
   const uint64_t quantum = options_.fairness.quantum_atomic_tasks;
   size_t batch_atomic = 0;
   bool full = false;
@@ -232,11 +220,15 @@ std::vector<StreamingEngine::Pending> StreamingEngine::AssembleBatchLocked() {
       // Emptied by a shed or a previous visit: retire from the ring and
       // forfeit unspent credit (idle tenants must not hoard bursts).
       state.deficit = 0;
+      state.credited = false;
       state.in_ring = false;
       ring_.pop_front();
       continue;
     }
-    state.deficit += quantum * WeightOf(tenant);
+    if (!state.credited) {
+      state.deficit += quantum * WeightOf(tenant);
+      state.credited = true;
+    }
     while (!state.queue.empty() &&
            state.queue.front().num_atomic <= state.deficit) {
       const Pending& front = state.queue.front();
@@ -258,7 +250,8 @@ std::vector<StreamingEngine::Pending> StreamingEngine::AssembleBatchLocked() {
       governor_.Release(taken.bytes, taken.num_atomic);
       batch.push_back(std::move(taken));
     }
-    if (full) break;  // tenant keeps its credit and its ring-front spot
+    if (full) break;  // the visit resumes in the next batch
+    state.credited = false;
     if (state.queue.empty()) {
       state.deficit = 0;
       state.in_ring = false;
@@ -285,12 +278,15 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
     return future;
   }
 
-  // Registry mode: pick the serving platform now and pin its current
-  // epoch. Everything after admission -- the batch solve, the cache key,
-  // the billing echo -- uses this snapshot, so a promotion between
-  // admission and flush never reroutes or re-plans admitted work.
-  PlatformSnapshot routed;
-  if (options_.registry != nullptr) {
+  // Pin the serving profile snapshot now: the engine's unnamed one, or in
+  // registry mode the routed platform's current epoch. Everything after
+  // admission -- the batch solve, the cache key, the billing echo -- uses
+  // this snapshot, so a promotion between admission and flush never
+  // reroutes or re-plans admitted work.
+  Pending pending;
+  if (options_.registry == nullptr) {
+    pending.serving = unrouted_;
+  } else {
     Result<PlatformSnapshot> route = options_.registry->Route(
         requester_id, tasks, options_.routing, platform_hint);
     if (!route.ok()) {
@@ -298,7 +294,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
       promise.set_value(route.status());
       return future;
     }
-    routed = std::move(*route);
+    pending.serving = std::move(*route);
   }
 
   DurabilityHooks* const hooks = options_.durability;
@@ -365,13 +361,8 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
     }
   }
 
-  Pending pending;
   pending.requester = std::move(requester_id);
   pending.submission_id = std::move(submission_id);
-  pending.platform = routed.platform_id;
-  pending.epoch = routed.epoch;
-  pending.salt = routed.salt;
-  pending.profile = routed.profile;
   for (const CrowdsourcingTask& t : tasks) pending.num_atomic += t.size();
   pending.tasks = std::move(tasks);
   pending.bytes = sizeof(Pending) + pending.requester.capacity() +
@@ -381,47 +372,52 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
   }
   pending.admitted = std::chrono::steady_clock::now();
   pending.promise = std::move(promise);
+  // The snapshot moves into the queue on admission; the routed platform's
+  // counters are charged afterwards.
+  const std::string routed_platform = pending.serving.platform_id;
   const uint64_t routed_tasks = pending.tasks.size();
   const uint64_t routed_atomic = pending.num_atomic;
 
   const FairnessOptions& fairness = options_.fairness;
-  bool admitted = true;
-  bool shutdown_refused = false;
-  bool quota_refused = false;
+  Status refused;             // set where an admission decision says no
   std::vector<Pending> shed;  // promises fulfilled after the lock drops
   {
     std::unique_lock<std::mutex> lock(mutex_);
     pending.seq = next_seq_++;
-    if (fairness.enabled) {
-      // The tenant quota is checked before (and independently of) the
-      // global policy: over-quota submissions are always rejected, so a
-      // greedy tenant can neither block the shared queue nor shed other
-      // tenants' work to make room for its own. A tenant whose queue is
-      // empty admits regardless (the per-tenant empty-queue rule).
-      const auto it = tenants_.find(pending.requester);
-      if (it != tenants_.end() && !it->second.queue.empty()) {
-        TenantState& state = it->second;
-        const bool over_atomic =
-            fairness.tenant_max_pending_atomic_tasks > 0 &&
-            state.pending_atomic + pending.num_atomic >
-                fairness.tenant_max_pending_atomic_tasks;
-        const bool over_bytes =
-            fairness.tenant_max_pending_bytes > 0 &&
-            state.pending_bytes + pending.bytes >
-                fairness.tenant_max_pending_bytes;
-        if (over_atomic || over_bytes) {
-          state.counters.rejected_quota += 1;
-          stats_.rejected_tenant_quota += 1;
-          admitted = false;
-          quota_refused = true;
-          // Kick a flush anyway: draining is what shrinks the tenant's
-          // pending load below its quota.
-          flush_requested_ = true;
-          wake_.notify_one();
-        }
+    // The tenant quota is checked before (and independently of) the
+    // global policy: over-quota submissions are always rejected, so a
+    // greedy tenant can neither block the shared queue nor shed other
+    // tenants' work to make room for its own. A tenant whose queue is
+    // empty admits regardless (the per-tenant empty-queue rule). Quotas
+    // are 0 (unbounded) with fairness off.
+    const auto it = tenants_.find(TenantOf(pending.requester));
+    if (it != tenants_.end() && !it->second.queue.empty()) {
+      TenantState& state = it->second;
+      const bool over_atomic =
+          fairness.tenant_max_pending_atomic_tasks > 0 &&
+          state.pending_atomic + pending.num_atomic >
+              fairness.tenant_max_pending_atomic_tasks;
+      const bool over_bytes =
+          fairness.tenant_max_pending_bytes > 0 &&
+          state.pending_bytes + pending.bytes >
+              fairness.tenant_max_pending_bytes;
+      if (over_atomic || over_bytes) {
+        state.counters.rejected_quota += 1;
+        stats_.rejected_tenant_quota += 1;
+        refused = Status::ResourceExhausted(
+            "StreamingEngine: tenant quota exceeded for requester '" +
+            pending.requester + "' (" +
+            std::to_string(fairness.tenant_max_pending_atomic_tasks) +
+            " atomic tasks / " +
+            std::to_string(fairness.tenant_max_pending_bytes) +
+            " bytes pending cap)");
+        // Kick a flush anyway: draining is what shrinks the tenant's
+        // pending load below its quota.
+        flush_requested_ = true;
+        wake_.notify_one();
       }
     }
-    if (admitted && !HasRoomLocked(pending)) {
+    if (refused.ok() && !HasRoomLocked(pending)) {
       // The queue is full: kick a flush so the solver opens room as fast
       // as it can, then apply the policy.
       flush_requested_ = true;
@@ -441,26 +437,30 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
             // Admitting now could race the exiting worker and leave the
             // future unfulfilled; fail it cleanly instead.
             stats_.rejected += 1;
-            admitted = false;
-            shutdown_refused = true;
+            refused = Status::ResourceExhausted(
+                "StreamingEngine: engine shut down while submission "
+                "was blocked on a full admission queue");
           }
           break;
         case BackpressurePolicy::kReject:
           stats_.rejected += 1;
-          admitted = false;
+          refused = Status::ResourceExhausted(
+              "StreamingEngine: admission queue full (" +
+              std::to_string(governor_.max_units()) + " atomic tasks / " +
+              std::to_string(governor_.max_bytes()) + " bytes cap)");
           break;
         case BackpressurePolicy::kShedOldest:
           // Evict pending submissions oldest-first until the newcomer
           // fits. If it is bigger than the whole cap, the queue empties
           // and the empty-queue rule admits it alone.
-          while (!HasRoomLocked(pending) && AnyPendingLocked()) {
+          while (!HasRoomLocked(pending) && pending_count_ > 0) {
             stats_.shed += 1;
             shed.push_back(PopOldestLocked());
           }
           break;
       }
     }
-    if (!admitted && !pending.submission_id.empty()) {
+    if (!refused.ok() && !pending.submission_id.empty()) {
       active_ids_.erase(pending.submission_id);
     }
     for (const Pending& victim : shed) {
@@ -468,12 +468,12 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
         active_ids_.erase(victim.submission_id);
       }
     }
-    if (admitted) EnqueueLocked(std::move(pending));
+    if (refused.ok()) EnqueueLocked(std::move(pending));
   }
-  if (admitted) {
+  if (refused.ok()) {
     wake_.notify_one();
     if (options_.registry != nullptr) {
-      options_.registry->RecordRouted(routed.platform_id, routed_tasks,
+      options_.registry->RecordRouted(routed_platform, routed_tasks,
                                       routed_atomic);
     }
   }
@@ -488,7 +488,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
         hooks->RecordReject(victim.submission_id);
       }
     }
-    if (!admitted && !pending.submission_id.empty()) {
+    if (!refused.ok() && !pending.submission_id.empty()) {
       hooks->RecordReject(pending.submission_id);
     }
   }
@@ -498,28 +498,9 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
         "StreamingEngine: submission from requester '" + victim.requester +
         "' shed by shed-oldest backpressure to admit newer work"));
   }
-  if (!admitted) {
-    Status status;
-    if (shutdown_refused) {
-      status = Status::ResourceExhausted(
-          "StreamingEngine: engine shut down while submission "
-          "was blocked on a full admission queue");
-    } else if (quota_refused) {
-      status = Status::ResourceExhausted(
-          "StreamingEngine: tenant quota exceeded for requester '" +
-          pending.requester + "' (" +
-          std::to_string(fairness.tenant_max_pending_atomic_tasks) +
-          " atomic tasks / " +
-          std::to_string(fairness.tenant_max_pending_bytes) +
-          " bytes pending cap)");
-    } else {
-      status = Status::ResourceExhausted(
-          "StreamingEngine: admission queue full (" +
-          std::to_string(governor_.max_units()) + " atomic tasks / " +
-          std::to_string(governor_.max_bytes()) + " bytes cap)");
-    }
-    if (rejected != nullptr) *rejected = status;
-    pending.promise.set_value(std::move(status));
+  if (!refused.ok()) {
+    if (rejected != nullptr) *rejected = refused;
+    pending.promise.set_value(std::move(refused));
   }
   return future;
 }
@@ -527,7 +508,7 @@ std::future<Result<RequesterPlan>> StreamingEngine::SubmitWithPolicy(
 void StreamingEngine::Flush() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!AnyPendingLocked()) return;
+    if (pending_count_ == 0) return;
     flush_requested_ = true;
   }
   wake_.notify_one();
@@ -535,11 +516,11 @@ void StreamingEngine::Flush() {
 
 void StreamingEngine::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (AnyPendingLocked()) {
+  if (pending_count_ > 0) {
     flush_requested_ = true;
     wake_.notify_one();
   }
-  drained_.wait(lock, [&] { return !AnyPendingLocked() && in_flight_ == 0; });
+  drained_.wait(lock, [&] { return pending_count_ == 0 && in_flight_ == 0; });
 }
 
 StreamingStats StreamingEngine::stats() const {
@@ -547,7 +528,7 @@ StreamingStats StreamingEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats = stats_;
-    stats.queue_submissions = PendingCountLocked();
+    stats.queue_submissions = pending_count_;
     stats.queue_atomic_tasks = pending_atomic_;
   }
   const GovernorCounters counters = governor_.counters();
@@ -559,6 +540,7 @@ StreamingStats StreamingEngine::stats() const {
 
 std::vector<TenantStats> StreamingEngine::tenant_stats() const {
   std::vector<TenantStats> out;
+  if (!options_.fairness.enabled) return out;  // one shared, unnamed queue
   std::lock_guard<std::mutex> lock(mutex_);
   out.reserve(tenants_.size());
   for (const auto& [tenant, state] : tenants_) {
@@ -574,7 +556,7 @@ std::vector<TenantStats> StreamingEngine::tenant_stats() const {
 }
 
 bool StreamingEngine::SizeTriggeredLocked() const {
-  return PendingCountLocked() >= options_.max_pending_submissions ||
+  return pending_count_ >= options_.max_pending_submissions ||
          pending_atomic_ >= options_.max_pending_atomic_tasks;
 }
 
@@ -583,7 +565,7 @@ void StreamingEngine::WorkerLoop() {
   for (;;) {
     bool deadline_hit = false;
     while (!shutdown_ && !flush_requested_ && !SizeTriggeredLocked()) {
-      if (!AnyPendingLocked()) {
+      if (pending_count_ == 0) {
         wake_.wait(lock);
       } else {
         const auto deadline =
@@ -596,7 +578,7 @@ void StreamingEngine::WorkerLoop() {
         }
       }
     }
-    if (!AnyPendingLocked()) {
+    if (pending_count_ == 0) {
       flush_requested_ = false;
       if (shutdown_) return;
       continue;
@@ -610,9 +592,9 @@ void StreamingEngine::WorkerLoop() {
     }
     flush_requested_ = false;
     std::vector<Pending> batch = AssembleBatchLocked();
-    // A fairness batch is bounded by the flush caps, so work may remain;
-    // keep the worker draining it without waiting for a new trigger.
-    if (AnyPendingLocked()) flush_requested_ = true;
+    // A batch is bounded by the flush caps, so work may remain; keep the
+    // worker draining it without waiting for a new trigger.
+    if (pending_count_ > 0) flush_requested_ = true;
     const size_t batch_size = batch.size();
     in_flight_ += batch_size;
     // The queue just shrank: submitters blocked on backpressure may admit
@@ -624,45 +606,35 @@ void StreamingEngine::WorkerLoop() {
     lock.lock();
 
     in_flight_ -= batch_size;
-    if (!AnyPendingLocked() && in_flight_ == 0) drained_.notify_all();
+    if (pending_count_ == 0 && in_flight_ == 0) drained_.notify_all();
   }
 }
 
 void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
                                    FlushReason reason) {
-  // Partition the micro-batch by serving (platform, epoch). Without a
-  // registry every submission lands in one group keyed by the engine's
-  // fixed profile (salt 0) -- exactly the previous single-solve path. In
-  // registry mode each group solves against its members' admission-epoch
-  // snapshot, so submissions admitted before a promotion are planned
-  // under the profile they were admitted with. Groups preserve admission
-  // order, and members keep their admission order within a group.
+  // Partition the micro-batch by serving (platform, epoch); without a
+  // registry every submission carries the engine's unnamed snapshot, so
+  // the batch is one group. Each group solves against its members'
+  // admission-epoch snapshot, so submissions admitted before a promotion
+  // are planned under the profile they were admitted with. Groups
+  // preserve admission order, and members keep their admission order
+  // within a group. A batch meets few (platform, epoch)s: scan, no index.
   struct Group {
-    const BinProfile* profile = nullptr;
-    uint64_t salt = 0;
+    const PlatformSnapshot* serving = nullptr;
     std::vector<size_t> members;  ///< indices into `batch`
   };
   std::vector<Group> groups;
-  if (options_.registry == nullptr) {
-    Group group;
-    group.profile = &profile_;
-    group.members.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) group.members[i] = i;
-    groups.push_back(std::move(group));
-  } else {
-    std::map<std::pair<std::string, uint64_t>, size_t> index;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto key = std::make_pair(batch[i].platform, batch[i].epoch);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        it = index.emplace(key, groups.size()).first;
-        Group group;
-        group.profile = batch[i].profile.get();
-        group.salt = batch[i].salt;
-        groups.push_back(std::move(group));
-      }
-      groups[it->second].members.push_back(i);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PlatformSnapshot& serving = batch[i].serving;
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return g.serving->epoch == serving.epoch &&
+             g.serving->platform_id == serving.platform_id;
+    });
+    if (it == groups.end()) {
+      groups.push_back(Group{&serving, {}});
+      it = groups.end() - 1;
     }
+    it->members.push_back(i);
   }
 
   // Solve each group and scatter its slices back to the batch slots. A
@@ -688,12 +660,12 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
       for (CrowdsourcingTask& t : p.tasks) tasks.push_back(std::move(t));
     }
 
+    const BinProfile& profile = *group.serving->profile;
     Result<BatchReport> report =
-        engine_.SolveBatch(tasks, *group.profile, group.salt);
+        engine_.SolveBatch(tasks, profile, group.serving->salt);
     Result<std::vector<RequesterPlan>> slices =
-        report.ok()
-            ? PlanSplitter::SplitBySpans(*report, *group.profile, spans)
-            : Result<std::vector<RequesterPlan>>(report.status());
+        report.ok() ? PlanSplitter::SplitBySpans(*report, profile, spans)
+                    : Result<std::vector<RequesterPlan>>(report.status());
     if (!slices.ok()) {
       for (size_t i : group.members) status_of[i] = slices.status();
       continue;
@@ -704,8 +676,8 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
     for (size_t k = 0; k < group.members.size(); ++k) {
       const size_t i = group.members[k];
       slice_of[i] = std::move((*slices)[k]);
-      slice_of[i].platform = batch[i].platform;
-      slice_of[i].epoch = batch[i].epoch;
+      slice_of[i].platform = batch[i].serving.platform_id;
+      slice_of[i].epoch = batch[i].serving.epoch;
       slice_cost_total += slice_of[i].cost;
     }
   }
@@ -767,34 +739,32 @@ void StreamingEngine::ProcessBatch(std::vector<Pending> batch,
       stats_.solve_seconds += solve_seconds;
       stats_.total_cost += batch_cost_total;
     }
-    if (options_.fairness.enabled) {
-      // Per-tenant delivery accounting. Billed = the tenant's slice
-      // costs; platform = the batch cost apportioned by billed share
-      // (equal to billed under kIsolated, smaller under kPooled).
-      std::set<std::string> counted;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!status_of[i].ok()) continue;
-        TenantState& state = tenants_[batch[i].requester];
-        const double cost = slice_of[i].cost;
-        state.counters.delivered += 1;
-        state.counters.billed_cost += cost;
-        state.counters.platform_cost +=
-            slice_cost_total > 0.0
-                ? batch_cost_total * (cost / slice_cost_total)
-                : 0.0;
-        // A tenant with several submissions in the batch still counts
-        // this micro-batch once.
-        if (counted.insert(batch[i].requester).second) {
-          state.counters.flushes += 1;
-        }
-      }
+    // Per-tenant delivery accounting. Billed = the tenant's slice costs;
+    // platform = the batch cost apportioned by billed share (equal to
+    // billed under kIsolated, smaller under kPooled).
+    std::set<std::string> counted;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!status_of[i].ok()) continue;
+      const std::string& tenant = TenantOf(batch[i].requester);
+      TenantState& state = tenants_[tenant];
+      const double cost = slice_of[i].cost;
+      state.counters.delivered += 1;
+      state.counters.billed_cost += cost;
+      state.counters.platform_cost +=
+          slice_cost_total > 0.0
+              ? batch_cost_total * (cost / slice_cost_total)
+              : 0.0;
+      // A tenant with several submissions in the batch still counts this
+      // micro-batch once.
+      if (counted.insert(tenant).second) state.counters.flushes += 1;
     }
   }
 
   if (options_.registry != nullptr) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (status_of[i].ok() && !batch[i].platform.empty()) {
-        options_.registry->RecordBilled(batch[i].platform, slice_of[i].cost);
+      if (status_of[i].ok()) {
+        options_.registry->RecordBilled(batch[i].serving.platform_id,
+                                        slice_of[i].cost);
       }
     }
   }

@@ -29,9 +29,12 @@
 // never *what* the answer is: under kIsolated every admitted submission's
 // plan is still the standalone OPQ-Extended plan.
 //
-// StreamingOptions::fairness adds multi-tenancy on top: per-tenant pending
-// quotas and a weighted deficit-round-robin flush scheduler that keeps one
-// heavy requester from starving many small ones (see FairnessOptions).
+// Every micro-batch is cut by one deficit-round-robin scheduler over
+// per-tenant queues, bounded by the flush caps. StreamingOptions::fairness
+// makes each requester its own tenant, with per-tenant pending quotas and
+// weights, so one heavy requester cannot starve many small ones (see
+// FairnessOptions); with fairness off every submission shares one tenant
+// queue and batching is FIFO.
 
 #ifndef SLADE_ENGINE_STREAMING_ENGINE_H_
 #define SLADE_ENGINE_STREAMING_ENGINE_H_
@@ -62,15 +65,18 @@ namespace slade {
 /// \brief Multi-tenant fairness: per-tenant quotas and a weighted-fair
 /// (deficit round-robin) flush scheduler.
 ///
-/// With fairness off (the default) the engine behaves exactly as before:
-/// one FIFO pending queue, each flush takes everything pending. With
-/// fairness on, submissions queue per tenant (tenant = requester id) and
-/// each micro-batch is assembled by deficit round-robin: every tenant
-/// visit earns `quantum_atomic_tasks * weight` of atomic-task credit, and
-/// whole submissions are taken FIFO from the tenant's queue while credit
-/// lasts, up to the flush caps per micro-batch. One tenant with a huge
-/// backlog therefore cannot push other tenants' work behind all of its
-/// own: every flush interleaves tenants in proportion to their weights.
+/// Every micro-batch is assembled by deficit round-robin over tenant
+/// queues: each tenant visit earns `quantum_atomic_tasks * weight` of
+/// atomic-task credit once, and whole submissions are taken FIFO from the
+/// tenant's queue while credit lasts, up to the flush caps per micro-batch.
+/// A visit cut short by a full batch resumes in the next batch on the
+/// credit it has left, without a second grant. With fairness on each
+/// requester id is its own tenant, so one tenant with a huge backlog cannot
+/// push other tenants' work behind all of its own: every flush interleaves
+/// tenants in proportion to their weights. With fairness off (the default)
+/// every submission joins one shared tenant queue -- FIFO batching, still
+/// cut at the flush caps -- and `weights` and the tenant quotas are
+/// ignored.
 ///
 /// Because placement under BatchSharing::kIsolated is independent of how
 /// submissions are micro-batched, fairness changes *when* a submission is
@@ -127,10 +133,12 @@ struct TenantStats {
 /// \brief Micro-batch admission policy. Both size caps are floored at 1 by
 /// the engine (0 would mean "flush before anything is pending").
 struct StreamingOptions {
-  /// Flush when the pending micro-batch holds at least this many atomic
-  /// tasks...
+  /// Flush when the pending queue holds at least this many atomic tasks.
+  /// Also the per-batch cap: no micro-batch takes more, except a lone
+  /// submission larger than the cap, which is solved alone...
   size_t max_pending_atomic_tasks = 4096;
-  /// ...or at least this many submissions...
+  /// ...or at least this many submissions, also the per-batch cap (work
+  /// beyond either cap stays queued and flushes right after)...
   size_t max_pending_submissions = 256;
   /// ...or when the oldest pending submission has waited this long.
   double max_delay_seconds = 0.05;
@@ -147,7 +155,7 @@ struct StreamingOptions {
   /// are unbounded, reproducing the ungoverned behavior exactly.
   ResourceOptions resources;
   /// Multi-tenant quotas and weighted-fair flush scheduling (see
-  /// FairnessOptions). Disabled by default: the single-FIFO behavior.
+  /// FairnessOptions). Disabled by default: one shared FIFO tenant queue.
   FairnessOptions fairness;
   /// Durability seam (see durability/hooks.h): when set, every admission
   /// is journaled durably before Submit hands out its future, outcomes
@@ -163,7 +171,9 @@ struct StreamingOptions {
   /// the constructor profile is unused on this path. The engine
   /// subscribes to epoch changes and evicts exactly the retired epoch's
   /// OPQ cache entries. Non-owning; must outlive the engine. nullptr =
-  /// single-profile serving, byte-for-byte the previous behavior.
+  /// single-profile serving: every submission is solved against the
+  /// constructor profile, with unsalted cache keys and no platform or
+  /// epoch echoed on its slice.
   ProfileRegistry* registry = nullptr;
   /// Routing policy applied when `registry` is set.
   RoutingPolicy routing = RoutingPolicy::kCheapest;
@@ -210,11 +220,11 @@ struct StreamingStats {
 /// engine goes away.
 class StreamingEngine {
  public:
-  /// The platform's bin profile is fixed for the engine's lifetime: every
-  /// submission is decomposed against `profile`, and the OPQ cache warms
-  /// up across all of them. With StreamingOptions::registry set the
-  /// profile instead comes from the routed platform's current epoch per
-  /// submission and `profile` is only a fallback identity.
+  /// Without StreamingOptions::registry every submission is decomposed
+  /// against `profile`, held as one unnamed, unsalted snapshot for the
+  /// engine's lifetime, and the OPQ cache warms up across all of them.
+  /// With a registry each submission is instead solved against the routed
+  /// platform's admission-epoch snapshot, and `profile` goes unused.
   explicit StreamingEngine(BinProfile profile, StreamingOptions options = {});
   ~StreamingEngine();
 
@@ -278,7 +288,8 @@ class StreamingEngine {
 
   StreamingStats stats() const;
   /// Per-tenant counters in tenant-id order; empty when fairness is
-  /// disabled (tenant tracking would grow without bound otherwise).
+  /// disabled (every submission then shares one queue that belongs to no
+  /// requester).
   std::vector<TenantStats> tenant_stats() const;
   const OpqCache& cache() const { return engine_.cache(); }
   /// The governor bounding the pending admission queue.
@@ -292,22 +303,23 @@ class StreamingEngine {
     std::vector<CrowdsourcingTask> tasks;
     size_t num_atomic = 0;
     uint64_t bytes = 0;  ///< estimated queue charge for this submission
-    uint64_t seq = 0;    ///< global admission order (fairness sheds/ages)
+    uint64_t seq = 0;    ///< global admission order (sheds and ages)
     std::chrono::steady_clock::time_point admitted;
     std::promise<Result<RequesterPlan>> promise;
-    /// Registry mode: the serving (platform, epoch) pinned at admission.
-    /// The shared profile snapshot keeps this submission solving under
-    /// its admission epoch even if a promotion lands before its flush.
-    std::string platform;
-    uint64_t epoch = 0;
-    uint64_t salt = 0;
-    std::shared_ptr<const BinProfile> profile;
+    /// The serving profile pinned at admission: the routed (platform,
+    /// epoch) in registry mode, the engine's unnamed snapshot otherwise.
+    /// The shared profile keeps this submission solving under its
+    /// admission epoch even if a promotion lands before its flush.
+    PlatformSnapshot serving;
   };
 
-  /// One tenant's pending queue and lifetime counters (fairness mode).
+  /// One tenant's pending queue and lifetime counters.
   struct TenantState {
     std::deque<Pending> queue;
     uint64_t deficit = 0;  ///< unspent DRR credit, in atomic tasks
+    /// This visit's quantum is already granted (a visit cut short by a
+    /// full batch resumes in the next one without a second grant).
+    bool credited = false;
     bool in_ring = false;
     uint64_t pending_atomic = 0;
     uint64_t pending_bytes = 0;
@@ -324,22 +336,20 @@ class StreamingEngine {
   /// submission is never deadlocked by a cap smaller than itself) or the
   /// governor has room for it. Requires mutex_ held.
   bool HasRoomLocked(const Pending& pending) const;
-  /// True iff anything is pending, in either queueing mode.
-  bool AnyPendingLocked() const;
-  /// Number of pending submissions, in either queueing mode.
-  size_t PendingCountLocked() const;
   /// Admission time of the oldest pending submission; only valid when
-  /// AnyPendingLocked().
+  /// something is pending.
   std::chrono::steady_clock::time_point OldestAdmittedLocked() const;
-  /// Appends `pending` to the right queue and charges all counters.
+  /// Appends `pending` to its tenant's queue and charges all counters.
   void EnqueueLocked(Pending pending);
   /// Removes and returns the globally oldest pending submission (for
   /// kShedOldest), releasing its charges; only valid when pending.
   Pending PopOldestLocked();
   /// Cuts the next micro-batch out of the pending state, releasing its
-  /// charges: everything pending (fairness off) or a deficit-round-robin
-  /// selection bounded by the flush caps (fairness on).
+  /// charges: a deficit-round-robin selection bounded by the flush caps.
   std::vector<Pending> AssembleBatchLocked();
+  /// The tenant queue `requester` submits into: its own with fairness on,
+  /// the one shared queue with fairness off.
+  const std::string& TenantOf(const std::string& requester) const;
   uint64_t WeightOf(const std::string& tenant) const;
   void WorkerLoop();
   /// True when the pending batch must flush now on size alone (the
@@ -348,7 +358,9 @@ class StreamingEngine {
   void ProcessBatch(std::vector<Pending> batch, FlushReason reason);
 
   const StreamingOptions options_;
-  const BinProfile profile_;
+  /// Single-profile serving: the constructor profile as an unnamed,
+  /// unsalted snapshot (empty platform id, epoch 0, salt 0).
+  const PlatformSnapshot unrouted_;
   DecompositionEngine engine_;
   ResourceGovernor governor_;  ///< pending-queue bytes / atomic tasks
 
@@ -356,9 +368,8 @@ class StreamingEngine {
   std::condition_variable wake_;     ///< worker: pending work or shutdown
   std::condition_variable drained_;  ///< Drain(): everything fulfilled
   std::condition_variable admit_;    ///< blocked Submit: room freed
-  std::deque<Pending> pending_;      ///< fairness off: the one FIFO queue
-  // Fairness on: per-tenant queues + the round-robin ring of tenants with
-  // pending work. pending_count_ tracks submissions across all tenants.
+  // Per-tenant queues + the round-robin ring of tenants with pending work.
+  // pending_count_ tracks submissions across all tenants.
   std::map<std::string, TenantState> tenants_;
   std::deque<std::string> ring_;
   /// Submission ids currently in flight (admitted or being admitted, not

@@ -6,11 +6,15 @@
 // without races (same idiom as streaming_backpressure_test.cc). The
 // starvation test is a property over delivery order that holds under any
 // thread interleaving once a backlog exists: a heavy tenant's backlog
-// cannot push a light tenant's submissions behind all of its own.
+// cannot push a light tenant's submissions behind all of its own. The
+// backlog tests build that backlog behind a "blocker": one submission far
+// over the flush caps, solved alone, which holds the solver while the
+// rest of the workload queues.
 
 #include <algorithm>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -48,6 +52,10 @@ StreamingOptions ParkedOptions() {
   options.max_delay_seconds = 3600.0;
   return options;
 }
+
+/// Far over any flush cap used here: flushes alone, at once, and keeps the
+/// solver busy while the submissions behind it queue.
+CrowdsourcingTask BlockerTask() { return FixedTask(20000, 1); }
 
 /// A canonical text form of a plan slice, for placement-identity checks:
 /// every placement as (cardinality x copies: sorted task ids).
@@ -280,6 +288,60 @@ TEST(FairSchedulerTest, WeightsScaleATenantsShare) {
   }
 }
 
+TEST(FairSchedulerTest, DrrGrantsOneQuantumPerVisit) {
+  auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
+  ASSERT_TRUE(profile.ok());
+  StreamingOptions options;
+  options.max_pending_atomic_tasks = 32;
+  options.max_pending_submissions = 1u << 20;
+  options.max_delay_seconds = 3600.0;
+  options.fairness.enabled = true;
+  options.fairness.quantum_atomic_tasks = 8;
+  // gold's credit per visit equals the batch cap, so a full batch often
+  // cuts its visit short; it must resume on the credit it has left, not
+  // earn a second quantum and keep the ring front until it drains.
+  options.fairness.weights["gold"] = 4;
+  options.fairness.weights["blocker"] = 1u << 20;  // its backlog in one visit
+  StreamingEngine engine(*profile, options);
+
+  constexpr int kEach = 40;
+  std::vector<CrowdsourcingTask> gold_tasks;
+  std::vector<CrowdsourcingTask> free_tasks;
+  for (int i = 0; i < kEach; ++i) {
+    gold_tasks.push_back(FixedTask(8, 1000 + static_cast<uint64_t>(i)));
+    free_tasks.push_back(FixedTask(8, 2000 + static_cast<uint64_t>(i)));
+  }
+  auto blocker = engine.Submit("blocker", {BlockerTask()});
+  std::vector<std::future<Result<RequesterPlan>>> gold_futures;
+  std::vector<std::future<Result<RequesterPlan>>> free_futures;
+  for (int i = 0; i < kEach; ++i) {
+    gold_futures.push_back(engine.Submit("gold", {gold_tasks[i]}));
+    free_futures.push_back(engine.Submit("free", {free_tasks[i]}));
+  }
+  engine.Drain();
+  ASSERT_TRUE(blocker.get().ok());
+
+  uint64_t gold_last = 0;
+  for (auto& future : gold_futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok());
+    gold_last = std::max(gold_last, result->flush_id);
+  }
+  std::vector<uint64_t> free_flushes;
+  for (auto& future : free_futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok());
+    free_flushes.push_back(result->flush_id);
+  }
+  const auto free_before_gold_done =
+      std::count_if(free_flushes.begin(), free_flushes.end(),
+                    [&](uint64_t flush) { return flush < gold_last; });
+  // Weights 4:1 interleave about one free submission per four gold ones,
+  // ~10 before gold's backlog drains; a re-credited gold visit holding
+  // the ring front lets through only the first couple.
+  EXPECT_GE(free_before_gold_done, 8);
+}
+
 // ---------------------------------------------------------------------------
 // Placement differential: fairness only reorders, never re-plans
 // ---------------------------------------------------------------------------
@@ -288,7 +350,7 @@ TEST(FairSchedulerTest, FairnessNeverChangesPlacements) {
   auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
   ASSERT_TRUE(profile.ok());
 
-  // The same 24-submission, 3-tenant workload through four differently
+  // The same 24-submission, 3-tenant workload through five differently
   // configured engines. Under BatchSharing::kIsolated every configuration
   // must produce byte-identical plan slices -- fairness and batching
   // change only delivery timing.
@@ -324,9 +386,11 @@ TEST(FairSchedulerTest, FairnessNeverChangesPlacements) {
   skewed.max_pending_atomic_tasks = 6;  // and tiny micro-batches
   StreamingOptions threaded = fair;  // different solver parallelism
   threaded.num_threads = 2;
+  StreamingOptions capped = fifo;  // fairness off, tiny micro-batches
+  capped.max_pending_atomic_tasks = 6;
 
   const auto baseline = run(fifo);
-  for (const StreamingOptions& variant : {fair, skewed, threaded}) {
+  for (const StreamingOptions& variant : {fair, skewed, threaded, capped}) {
     const auto other = run(variant);
     ASSERT_EQ(other.first.size(), baseline.first.size());
     for (size_t i = 0; i < baseline.first.size(); ++i) {
@@ -340,9 +404,11 @@ TEST(FairSchedulerTest, SingleTenantFairnessMatchesFifoBatching) {
   auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
   ASSERT_TRUE(profile.ok());
 
-  // With one tenant the DRR ring degenerates to the FIFO queue. Drive
-  // flushing deterministically (parked engine, explicit Drain cycles):
-  // every submission must land in the same flush ordinal, with the same
+  // Fairness off queues every submission in one shared tenant queue, so
+  // with one requester both settings run the same DRR ring of one: the
+  // fairness flag alone must change no flush. Drive flushing
+  // deterministically (parked engine, explicit Drain cycles): every
+  // submission must land in the same flush ordinal, with the same
   // placements, whether fairness is on or off.
   auto run = [&](bool fairness_enabled) {
     StreamingOptions options = ParkedOptions();
@@ -374,6 +440,85 @@ TEST(FairSchedulerTest, SingleTenantFairnessMatchesFifoBatching) {
     EXPECT_EQ(fair[i].second, fifo[i].second)
         << "placements, submission " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fairness off: one shared queue under the same scheduler
+// ---------------------------------------------------------------------------
+
+TEST(FairSchedulerTest, FairnessOffBatchesAreCutAtTheFlushCaps) {
+  auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
+  ASSERT_TRUE(profile.ok());
+  StreamingOptions options;  // fairness off
+  options.max_pending_submissions = 2;
+  options.max_delay_seconds = 3600.0;
+  StreamingEngine engine(*profile, options);
+
+  std::vector<CrowdsourcingTask> tasks;
+  for (int i = 0; i < 7; ++i) {
+    tasks.push_back(FixedTask(3, 3000 + static_cast<uint64_t>(i)));
+  }
+  std::vector<std::future<Result<RequesterPlan>>> futures;
+  futures.push_back(engine.Submit("blocker", {BlockerTask()}));
+  const char* requesters[3] = {"a", "b", "c"};
+  for (int i = 0; i < 7; ++i) {
+    futures.push_back(engine.Submit(requesters[i % 3], {tasks[i]}));
+  }
+  engine.Drain();
+
+  // The backlog behind the blocker flushes as several capped batches,
+  // never as one batch of everything pending.
+  std::map<uint64_t, int> slices_per_flush;
+  for (auto& future : futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok());
+    slices_per_flush[result->flush_id] += 1;
+  }
+  for (const auto& [flush_id, slices] : slices_per_flush) {
+    EXPECT_LE(slices, 2) << "flush " << flush_id;
+  }
+}
+
+TEST(FairSchedulerTest, FairnessOffIgnoresTenantQuotasAndWeights) {
+  auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 6);
+  ASSERT_TRUE(profile.ok());
+  StreamingOptions options = ParkedOptions();  // fairness off
+  // With fairness on these would refuse every second submission of a
+  // requester and put "late" far ahead of "early".
+  options.fairness.tenant_max_pending_atomic_tasks = 1;
+  options.fairness.tenant_max_pending_bytes = 1;
+  options.fairness.quantum_atomic_tasks = 3;
+  options.fairness.weights["late"] = 1000;
+  options.max_pending_atomic_tasks = 6;  // two submissions per batch
+  StreamingEngine engine(*profile, options);
+  EXPECT_TRUE(engine.options().fairness.weights.empty());
+  EXPECT_EQ(engine.options().fairness.tenant_max_pending_atomic_tasks, 0u);
+  EXPECT_EQ(engine.options().fairness.tenant_max_pending_bytes, 0u);
+
+  std::vector<std::future<Result<RequesterPlan>>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(
+        engine.Submit("early", {FixedTask(3, 4000 + static_cast<uint64_t>(i))}));
+  }
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(
+        engine.Submit("late", {FixedTask(3, 4100 + static_cast<uint64_t>(i))}));
+  }
+  engine.Drain();
+
+  // Nothing refused, and delivery follows admission order.
+  uint64_t previous_flush = 0;
+  for (auto& future : futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GE(result->flush_id, previous_flush);
+    previous_flush = result->flush_id;
+  }
+  const StreamingStats stats = engine.stats();
+  EXPECT_EQ(stats.submissions, 8u);
+  EXPECT_EQ(stats.rejected_tenant_quota, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_TRUE(engine.tenant_stats().empty());
 }
 
 }  // namespace

