@@ -1,13 +1,11 @@
-// Columnar plan pipeline kernel: the arena-backed ColumnarPlan hot path
-// (solve -> merge -> validate -> account -> split) versus the legacy AoS
-// DecompositionPlan consumers, swept over batch sizes. Reports per-stage
-// wall time and the columnar/AoS speedup for the stages that have both
-// implementations.
+// Plan pipeline kernel: the arena-backed DecompositionPlan hot path
+// (solve -> merge -> validate -> account -> split -> restamp), swept over
+// batch sizes. Reports per-stage wall time and heap allocations.
 //
-// Two allocation contracts are enforced with a global operator-new
+// Three allocation contracts are enforced with a global operator-new
 // counter (exit 1 on breach):
-//   * read passes (validate + cost accounting) over a built ColumnarPlan
-//     allocate O(1) scratch -- never O(placements);
+//   * validation and cost accounting over a built plan allocate O(1)
+//     scratch -- never O(placements);
 //   * a Clear()+restamp cycle reuses the arena's chunks instead of
 //     growing them, so steady-state plan reuse is allocation-free.
 //
@@ -25,7 +23,8 @@
 #include "bench_util.h"
 #include "engine/decomposition_engine.h"
 #include "engine/plan_splitter.h"
-#include "solver/plan_arena.h"
+#include "solver/plan.h"
+#include "solver/plan_validator.h"
 #include "workload/workload.h"
 
 // -- Global allocation counter ----------------------------------------------
@@ -100,9 +99,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  std::cout << "Columnar plan pipeline: arena-backed flat-column passes vs "
-               "legacy AoS consumers\n(Jelly, |B|=20, 20 atomic tasks per "
-               "crowdsourcing task, t_i ~ N(0.9, 0.03)).\n";
+  std::cout << "Plan pipeline: arena-backed flat-column passes\n(Jelly, "
+               "|B|=20, 20 atomic tasks per crowdsourcing task, "
+               "t_i ~ N(0.9, 0.03)).\n";
 
   std::vector<size_t> batch_sizes = {2'000, 10'000};
   if (smoke) batch_sizes = {500};
@@ -115,8 +114,7 @@ int main(int argc, char** argv) {
   spec.sigma = 0.03;
 
   slade_bench::BenchJsonWriter json("plan_pipeline");
-  TablePrinter table({"tasks", "stage", "columnar (ms)", "aos (ms)",
-                      "speedup", "allocs/pass"});
+  TablePrinter table({"tasks", "stage", "ms", "allocs/pass"});
 
   for (size_t num_tasks : batch_sizes) {
     auto batch = MakeBatchWorkload(DatasetKind::kJelly, num_tasks,
@@ -140,8 +138,7 @@ int main(int argc, char** argv) {
       std::cerr << "solve failed: " << report.status().ToString() << "\n";
       return 1;
     }
-    const ColumnarPlan& plan = report->plan;
-    const DecompositionPlan aos = plan.ToPlan();
+    const DecompositionPlan& plan = report->plan;
     auto merged = ConcatenateTasks(batch->tasks);
     if (!merged.ok()) return 1;
     const size_t n = merged->size();
@@ -154,28 +151,18 @@ int main(int argc, char** argv) {
       g_sink = r->total_cost;
     });
 
-    // --- validate: fused columnar sweep vs AoS placement walk --------------
-    const Timed validate_columnar = Measure([&] {
+    // --- validate: one fused sweep over the columns ------------------------
+    const Timed validate = Measure([&] {
       auto v = ValidatePlan(plan, *merged, profile);
-      if (!v.ok() || !v->feasible) std::exit(1);
-      g_sink = v->worst_log_margin;
-    });
-    const Timed validate_aos = Measure([&] {
-      auto v = ValidatePlan(aos, *merged, profile);
       if (!v.ok() || !v->feasible) std::exit(1);
       g_sink = v->worst_log_margin;
     });
 
     // --- account: cost + bin census + per-task reliability -----------------
-    const Timed account_columnar = Measure([&] {
+    const Timed account = Measure([&] {
       g_sink = plan.TotalCost(profile);
       g_sink += static_cast<double>(plan.TotalBinInstances());
       g_sink += plan.PerTaskReliability(profile, n).back();
-    });
-    const Timed account_aos = Measure([&] {
-      g_sink = aos.TotalCost(profile);
-      g_sink += static_cast<double>(aos.TotalBinInstances());
-      g_sink += aos.PerTaskReliability(profile, n).back();
     });
 
     // --- split: per-requester slicing of the merged plan -------------------
@@ -190,65 +177,48 @@ int main(int argc, char** argv) {
       g_sink = slices->back().cost;
     });
 
-    // --- restamp: Clear() + AppendPlan over a warmed arena -----------------
-    ColumnarPlan reuse;
+    // --- restamp: Clear() + AppendColumns over a warmed arena --------------
+    DecompositionPlan reuse;
     const Timed restamp = Measure([&] {
       reuse.Clear();
-      reuse.AppendPlan(aos);
+      reuse.AppendColumns(plan);
       g_sink = static_cast<double>(reuse.num_placements());
     });
 
     // Allocation contracts. Read passes may allocate scratch (epoch
     // array, LUTs, report vectors) but never per placement; the restamp
     // cycle must live entirely inside the already-reserved arena.
-    RequireBudget("columnar validate", validate_columnar.allocations, 64,
+    RequireBudget("validate", validate.allocations, 64,
                   plan.num_placements());
-    RequireBudget("columnar accounting", account_columnar.allocations, 64,
+    RequireBudget("accounting", account.allocations, 64,
                   plan.num_placements());
-    RequireBudget("columnar restamp", restamp.allocations, 16,
-                  plan.num_placements());
+    RequireBudget("restamp", restamp.allocations, 16, plan.num_placements());
 
     struct StageRow {
       const char* stage;
-      const Timed* columnar;
-      const Timed* aos;  // nullptr when there is no AoS twin
+      const Timed* timed;
     };
     for (const StageRow& row :
-         {StageRow{"solve", &solve, nullptr},
-          StageRow{"validate", &validate_columnar, &validate_aos},
-          StageRow{"account", &account_columnar, &account_aos},
-          StageRow{"split", &split, nullptr},
-          StageRow{"restamp", &restamp, nullptr}}) {
-      table.AddRow(
-          {std::to_string(num_tasks), row.stage,
-           TablePrinter::FormatDouble(row.columnar->seconds * 1e3, 4),
-           row.aos ? TablePrinter::FormatDouble(row.aos->seconds * 1e3, 4)
-                   : "-",
-           row.aos ? TablePrinter::FormatDouble(
-                         row.aos->seconds / row.columnar->seconds, 2)
-                   : "-",
-           std::to_string(row.columnar->allocations)});
+         {StageRow{"solve", &solve}, StageRow{"validate", &validate},
+          StageRow{"account", &account}, StageRow{"split", &split},
+          StageRow{"restamp", &restamp}}) {
+      table.AddRow({std::to_string(num_tasks), row.stage,
+                    TablePrinter::FormatDouble(row.timed->seconds * 1e3, 4),
+                    std::to_string(row.timed->allocations)});
       json.BeginRecord();
       json.Field("stage", row.stage);
       json.Field("config", config);
       json.Field("num_tasks", static_cast<double>(num_tasks));
       json.Field("threads", static_cast<double>(kThreads));
       json.Field("placements", static_cast<double>(plan.num_placements()));
-      json.Field("seconds", row.columnar->seconds);
-      json.Field("allocations",
-                 static_cast<double>(row.columnar->allocations));
-      if (row.aos) {
-        json.Field("aos_seconds", row.aos->seconds);
-        json.Field("speedup_vs_aos",
-                   row.aos->seconds / row.columnar->seconds);
-      }
+      json.Field("seconds", row.timed->seconds);
+      json.Field("allocations", static_cast<double>(row.timed->allocations));
     }
   }
 
   PrintBanner(std::cout,
-              "Plan pipeline: per-pass wall time (columnar vs AoS twin "
-              "where one exists; allocs = heap allocations per columnar "
-              "pass)");
+              "Plan pipeline: per-pass wall time (allocs = heap allocations "
+              "per pass)");
   table.Print(std::cout);
   json.Write();
   return 0;

@@ -106,14 +106,15 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
 
     // 2a. Post the plan's bins and log answers.
     AdaptiveRoundStats stats;
-    for (const BinPlacement& placement : plan.placements()) {
-      if (placement.tasks.empty()) continue;
+    for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+      const DecompositionPlan::PlacementView placement = plan.view(pi);
+      if (placement.num_tasks == 0) continue;
       std::vector<TaskId> global_ids;
-      global_ids.reserve(placement.tasks.size());
+      global_ids.reserve(placement.num_tasks);
       std::vector<bool> truth;
-      truth.reserve(placement.tasks.size());
-      for (TaskId local : placement.tasks) {
-        const TaskId global = unsatisfied[local];
+      truth.reserve(placement.num_tasks);
+      for (uint32_t k = 0; k < placement.num_tasks; ++k) {
+        const TaskId global = unsatisfied[placement.tasks[k]];
         global_ids.push_back(global);
         truth.push_back(ground_truth[global]);
       }

@@ -4,28 +4,30 @@
 #include <utility>
 
 namespace slade {
-namespace {
 
-/// One validated, globally-addressed unit of dispatch work.
 struct DispatchJob {
-  BinPlacement placement;   // tasks rewritten to global ids
-  std::vector<bool> truth;  // ground truth per contained task
+  uint32_t cardinality = 0;
+  uint32_t copies = 0;
+  std::vector<TaskId> global_ids;  // the placement's tasks, mapped globally
+  std::vector<bool> truth;         // ground truth per contained task
 };
+
+namespace {
 
 // Validates and pre-translates every placement before anything is
 // enqueued, so a malformed plan never half-dispatches.
 Result<std::vector<DispatchJob>> BuildDispatchJobs(
-    const ColumnarPlan& plan, const std::vector<TaskId>& global_of_local,
+    const DecompositionPlan& plan, const std::vector<TaskId>& global_of_local,
     const std::vector<bool>& ground_truth) {
   std::vector<DispatchJob> jobs;
   jobs.reserve(plan.num_placements());
   for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
-    const ColumnarPlan::PlacementView p = plan.view(pi);
+    const DecompositionPlan::PlacementView p = plan.view(pi);
     if (p.num_tasks == 0) continue;
     DispatchJob job;
-    job.placement.cardinality = p.cardinality;
-    job.placement.copies = p.copies;
-    job.placement.tasks.reserve(p.num_tasks);
+    job.cardinality = p.cardinality;
+    job.copies = p.copies;
+    job.global_ids.reserve(p.num_tasks);
     job.truth.reserve(p.num_tasks);
     for (uint32_t k = 0; k < p.num_tasks; ++k) {
       TaskId id = p.tasks[k];
@@ -41,7 +43,7 @@ Result<std::vector<DispatchJob>> BuildDispatchJobs(
                                   " is outside the ground truth (n=" +
                                   std::to_string(ground_truth.size()) + ")");
       }
-      job.placement.tasks.push_back(id);
+      job.global_ids.push_back(id);
       job.truth.push_back(ground_truth[id]);
     }
     jobs.push_back(std::move(job));
@@ -112,7 +114,7 @@ SimulatedDispatcher::SimulatedDispatcher(Platform& platform,
       pool_(pool),
       injector_(injector) {}
 
-Status SimulatedDispatcher::Dispatch(const ColumnarPlan& plan,
+Status SimulatedDispatcher::Dispatch(const DecompositionPlan& plan,
                                      std::vector<TaskId> global_of_local,
                                      const std::vector<bool>& ground_truth,
                                      AnswerCollector* collector) {
@@ -121,18 +123,16 @@ Status SimulatedDispatcher::Dispatch(const ColumnarPlan& plan,
   for (DispatchJob& job : jobs) {
     auto shared = std::make_shared<DispatchJob>(std::move(job));
     pool_.Submit([this, shared, collector] {
-      PostPlacementCopy(shared->placement, shared->placement.tasks,
-                        shared->truth, collector);
+      PostPlacementCopy(*shared, collector);
     });
   }
   return Status::OK();
 }
 
-void SimulatedDispatcher::PostPlacementCopy(
-    const BinPlacement& placement, const std::vector<TaskId>& global_ids,
-    const std::vector<bool>& truth, AnswerCollector* collector) {
-  const TaskBin& bin = profile_.bin(placement.cardinality);
-  for (uint32_t copy = 0; copy < placement.copies; ++copy) {
+void SimulatedDispatcher::PostPlacementCopy(const DispatchJob& job,
+                                            AnswerCollector* collector) {
+  const TaskBin& bin = profile_.bin(job.cardinality);
+  for (uint32_t copy = 0; copy < job.copies; ++copy) {
     BinOutcome outcome;
     bool posted = false;
     {
@@ -149,7 +149,7 @@ void SimulatedDispatcher::PostPlacementCopy(
         // A post the platform itself rejects (invalid bin) is a plan bug;
         // it surfaces as a dropped bin rather than a crash mid-pool.
         Result<BinOutcome> result = platform_.PostBin(
-            placement.cardinality, bin.cost, truth, /*assignments=*/1,
+            job.cardinality, bin.cost, job.truth, /*assignments=*/1,
             decision.context);
         if (result.ok()) {
           outcome = std::move(*result);
@@ -164,18 +164,18 @@ void SimulatedDispatcher::PostPlacementCopy(
     }
     const AssignmentOutcome& assignment = outcome.assignments.front();
     std::vector<WorkerAnswer> answers;
-    answers.reserve(global_ids.size());
+    answers.reserve(job.global_ids.size());
     uint64_t calibration_correct = 0;
-    for (size_t k = 0; k < global_ids.size(); ++k) {
+    for (size_t k = 0; k < job.global_ids.size(); ++k) {
       WorkerAnswer answer;
       answer.worker = assignment.worker_id;
-      answer.task = global_ids[k];
+      answer.task = job.global_ids[k];
       answer.answer = assignment.answers[k];
-      if (answer.answer == truth[k]) ++calibration_correct;
+      if (answer.answer == job.truth[k]) ++calibration_correct;
       answers.push_back(answer);
     }
-    collector->CountCalibration(placement.cardinality, calibration_correct,
-                                global_ids.size(), bin.cost);
+    collector->CountCalibration(job.cardinality, calibration_correct,
+                                job.global_ids.size(), bin.cost);
     collector->Accept(std::move(answers), outcome.overtime, bin.cost);
   }
 }

@@ -33,7 +33,6 @@
 #include "simulator/fault_injector.h"
 #include "simulator/platform.h"
 #include "solver/plan.h"
-#include "solver/plan_arena.h"
 
 namespace slade {
 
@@ -84,6 +83,10 @@ class AnswerCollector {
   DispatchStats stats_;
 };
 
+/// One validated, globally-addressed placement awaiting dispatch
+/// (defined in answer_collector.cc).
+struct DispatchJob;
+
 /// \brief Posts plans to the simulated marketplace.
 ///
 /// The dispatcher serializes platform access internally (the simulator's
@@ -107,7 +110,7 @@ class SimulatedDispatcher {
   /// answers. Returns immediately; answers land in `collector` as posts
   /// complete. Fails fast (before enqueueing) on a placement referencing an
   /// id outside the mapping.
-  Status Dispatch(const ColumnarPlan& plan,
+  Status Dispatch(const DecompositionPlan& plan,
                   std::vector<TaskId> global_of_local,
                   const std::vector<bool>& ground_truth,
                   AnswerCollector* collector);
@@ -116,10 +119,7 @@ class SimulatedDispatcher {
   void Wait() { pool_.Wait(); }
 
  private:
-  void PostPlacementCopy(const BinPlacement& placement,
-                         const std::vector<TaskId>& global_ids,
-                         const std::vector<bool>& truth,
-                         AnswerCollector* collector);
+  void PostPlacementCopy(const DispatchJob& job, AnswerCollector* collector);
 
   Platform& platform_;
   const BinProfile& profile_;

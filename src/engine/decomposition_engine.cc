@@ -200,7 +200,7 @@ Result<BatchReport> DecompositionEngine::SolveBatch(
   // locking is needed beyond the pool's Wait().
   OpqBuildOptions build_options;
   build_options.node_budget = options_.opq_node_budget;
-  std::vector<ColumnarPlan> shard_plans;
+  std::vector<DecompositionPlan> shard_plans;
   shard_plans.reserve(shards.size());
   for (size_t s = 0; s < shards.size(); ++s) {
     shard_plans.emplace_back(&plan_governor_);
@@ -253,15 +253,15 @@ Result<BatchReport> DecompositionEngine::SolveBatch(
   if (shards.size() == 1) {
     report.plan = std::move(shard_plans[0]);
   } else {
-    ColumnarPlan merged(&plan_governor_);
+    DecompositionPlan merged(&plan_governor_);
     size_t total_placements = 0;
     size_t total_ids = 0;
-    for (const ColumnarPlan& plan : shard_plans) {
+    for (const DecompositionPlan& plan : shard_plans) {
       total_placements += plan.num_placements();
       total_ids += plan.num_task_ids();
     }
     merged.Reserve(total_placements, total_ids);
-    for (ColumnarPlan& plan : shard_plans) {
+    for (const DecompositionPlan& plan : shard_plans) {
       merged.AppendColumns(plan);
     }
     report.plan = std::move(merged);
@@ -291,8 +291,8 @@ Result<BatchReport> SolveBatchSequential(
                            solver->Solve(tasks[k], profile));
     report.total_cost += plan.TotalCost(profile);
     report.total_bins += plan.TotalBinInstances();
-    report.plan.AppendPlan(plan,
-                           static_cast<TaskId>(report.task_offsets[k]));
+    report.plan.AppendRange(plan, 0, plan.num_placements(),
+                            static_cast<int64_t>(report.task_offsets[k]));
   }
   report.wall_seconds = wall.ElapsedSeconds();
   return report;

@@ -31,7 +31,6 @@
 #include "engine/opq_cache.h"
 #include "engine/resource_governor.h"
 #include "solver/plan.h"
-#include "solver/plan_arena.h"
 #include "solver/solver.h"
 
 namespace slade {
@@ -101,12 +100,12 @@ struct ShardStats {
 /// The merged plan addresses atomic tasks by *global* id: the atomic tasks
 /// of input task `k` occupy ids [task_offsets[k], task_offsets[k+1]).
 ///
-/// The plan is columnar (see solver/plan_arena.h): shard plans are stamped
+/// The plan is columnar (see solver/plan.h): shard plans are stamped
 /// straight into flat columns and merged by column concatenation, so the
 /// whole batch costs O(arena chunks) allocations instead of one per
-/// placement. Cold-path consumers convert with `plan.ToPlan()`.
+/// placement.
 struct BatchReport {
-  ColumnarPlan plan;
+  DecompositionPlan plan;
   std::vector<size_t> task_offsets;  // size = #input tasks + 1
   double total_cost = 0.0;
   uint64_t total_bins = 0;

@@ -15,9 +15,9 @@ namespace {
 /// by one slice whose local ids are a constant shift of the global ids --
 /// every placement under kIsolated, where an owner's atomic tasks are one
 /// contiguous global range -- are coalesced into runs and copied with
-/// ColumnarPlan::AppendRange (bulk column memcpy, no per-id work beyond
-/// the ownership scan). Mixed placements fall back to per-owner buckets
-/// whose scratch is reused across placements.
+/// DecompositionPlan::AppendRange (bulk column memcpy, no per-id work
+/// beyond the ownership scan). Mixed placements fall back to per-owner
+/// buckets whose scratch is reused across placements.
 Result<std::vector<RequesterPlan>> SplitByOwner(
     const BatchReport& report, const BinProfile& profile,
     const std::vector<size_t>& owner_of_task,
@@ -43,7 +43,7 @@ Result<std::vector<RequesterPlan>> SplitByOwner(
     slice.task_offsets.push_back(next);
   }
 
-  const ColumnarPlan& plan = report.plan;
+  const DecompositionPlan& plan = report.plan;
   const TaskId* ids = plan.task_ids();
   const size_t num_placements = plan.num_placements();
 

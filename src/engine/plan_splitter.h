@@ -37,8 +37,8 @@ struct RequesterPlan {
   std::string requester_id;
   /// The slice, addressed in requester-local atomic ids: 0-based, ordered
   /// as the requester's input tasks appeared in the batch. Columnar, like
-  /// the merged plan it was cut from (see solver/plan_arena.h).
-  ColumnarPlan plan;
+  /// the merged plan it was cut from (see solver/plan.h).
+  DecompositionPlan plan;
   /// Requester-local input-task offsets (size = num input tasks + 1):
   /// the requester's input task `k` owns local ids
   /// [task_offsets[k], task_offsets[k+1]).

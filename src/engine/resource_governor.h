@@ -47,7 +47,7 @@ struct ResourceOptions {
   uint32_t cache_shards = 8;
 
   // --- Plan arenas (batch engine materialization / merge path) ---
-  /// Ledger capacity for columnar plan arenas (see solver/plan_arena.h).
+  /// Ledger capacity for decomposition plan arenas (see solver/plan_arena.h).
   /// Arenas charge unconditionally -- the limit is observational (peak
   /// tracking via GovernorCounters), not admission control; 0 = unbounded.
   uint64_t plan_arena_max_bytes = 0;

@@ -1,6 +1,7 @@
 #include "io/model_io.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/csv.h"
 #include "io/csv_reader.h"
@@ -26,6 +27,18 @@ Status CheckHeader(const std::vector<std::vector<std::string>>& rows,
   return Status::OK();
 }
 
+// Cardinalities, copies and task ids are 32-bit fields; a wider value
+// must be rejected, not wrapped into a different plan or profile.
+Result<uint32_t> ParseUint32(const std::string& cell, const std::string& path,
+                             size_t row) {
+  SLADE_ASSIGN_OR_RETURN(uint64_t value, ParseUint(cell));
+  if (value > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(path + ": row " + std::to_string(row) +
+                                   ": " + cell + " does not fit 32 bits");
+  }
+  return static_cast<uint32_t>(value);
+}
+
 }  // namespace
 
 Result<BinProfile> LoadBinProfileCsv(const std::string& path) {
@@ -39,10 +52,9 @@ Result<BinProfile> LoadBinProfileCsv(const std::string& path) {
                                      " needs 3 cells");
     }
     TaskBin bin;
-    SLADE_ASSIGN_OR_RETURN(uint64_t l, ParseUint(rows[r][0]));
+    SLADE_ASSIGN_OR_RETURN(bin.cardinality, ParseUint32(rows[r][0], path, r));
     SLADE_ASSIGN_OR_RETURN(bin.confidence, ParseDouble(rows[r][1]));
     SLADE_ASSIGN_OR_RETURN(bin.cost, ParseDouble(rows[r][2]));
-    bin.cardinality = static_cast<uint32_t>(l);
     bins.push_back(bin);
   }
   std::sort(bins.begin(), bins.end(),
@@ -279,9 +291,10 @@ Status SaveTimedWorkloadCsv(const std::vector<TimedSubmission>& submissions,
 Status SavePlanCsv(const DecompositionPlan& plan, const std::string& path) {
   CsvWriter writer;
   SLADE_RETURN_NOT_OK(writer.Open(path, {"cardinality", "copies", "tasks"}));
-  for (const BinPlacement& p : plan.placements()) {
+  for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+    const DecompositionPlan::PlacementView p = plan.view(pi);
     std::string tasks;
-    for (size_t i = 0; i < p.tasks.size(); ++i) {
+    for (uint32_t i = 0; i < p.num_tasks; ++i) {
       tasks += (i ? ";" : "") + std::to_string(p.tasks[i]);
     }
     SLADE_RETURN_NOT_OK(writer.WriteRow(std::vector<std::string>{
@@ -300,8 +313,9 @@ Result<DecompositionPlan> LoadPlanCsv(const std::string& path) {
       return Status::InvalidArgument(path + ": row " + std::to_string(r) +
                                      " needs 3 cells");
     }
-    SLADE_ASSIGN_OR_RETURN(uint64_t cardinality, ParseUint(rows[r][0]));
-    SLADE_ASSIGN_OR_RETURN(uint64_t copies, ParseUint(rows[r][1]));
+    SLADE_ASSIGN_OR_RETURN(uint32_t cardinality,
+                           ParseUint32(rows[r][0], path, r));
+    SLADE_ASSIGN_OR_RETURN(uint32_t copies, ParseUint32(rows[r][1], path, r));
     std::vector<TaskId> tasks;
     const std::string& joined = rows[r][2];
     size_t start = 0;
@@ -309,12 +323,12 @@ Result<DecompositionPlan> LoadPlanCsv(const std::string& path) {
       size_t semi = joined.find(';', start);
       if (semi == std::string::npos) semi = joined.size();
       SLADE_ASSIGN_OR_RETURN(
-          uint64_t id, ParseUint(joined.substr(start, semi - start)));
-      tasks.push_back(static_cast<TaskId>(id));
+          TaskId id,
+          ParseUint32(joined.substr(start, semi - start), path, r));
+      tasks.push_back(id);
       start = semi + 1;
     }
-    plan.Add(static_cast<uint32_t>(cardinality),
-             static_cast<uint32_t>(copies), std::move(tasks));
+    plan.Add(cardinality, copies, tasks);
   }
   return plan;
 }

@@ -10,12 +10,14 @@ Result<ExecutionReport> ExecutePlan(Platform& platform,
   ExecutionReport report;
   report.detected.assign(n, false);
 
-  for (const BinPlacement& placement : plan.placements()) {
-    if (placement.tasks.empty()) continue;
+  for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
+    const DecompositionPlan::PlacementView placement = plan.view(pi);
+    if (placement.num_tasks == 0) continue;
     const TaskBin& bin = profile.bin(placement.cardinality);
     std::vector<bool> truth;
-    truth.reserve(placement.tasks.size());
-    for (TaskId id : placement.tasks) {
+    truth.reserve(placement.num_tasks);
+    for (uint32_t k = 0; k < placement.num_tasks; ++k) {
+      const TaskId id = placement.tasks[k];
       if (id >= n) {
         return Status::OutOfRange("plan references task " +
                                   std::to_string(id) + " but n=" +
@@ -32,7 +34,7 @@ Result<ExecutionReport> ExecutePlan(Platform& platform,
       if (outcome.overtime) ++report.overtime_bins;
       report.total_cost += bin.cost;
       const AssignmentOutcome& assignment = outcome.assignments.front();
-      for (size_t i = 0; i < placement.tasks.size(); ++i) {
+      for (uint32_t i = 0; i < placement.num_tasks; ++i) {
         if (assignment.answers[i]) {
           report.detected[placement.tasks[i]] = true;
         }

@@ -80,8 +80,7 @@ void EmitChunkPlan(const CipInstance& inst, const std::vector<uint64_t>& y,
     std::vector<TaskId> tasks;
     tasks.reserve(col.rows.size());
     for (uint32_t row : col.rows) tasks.push_back(global_ids[offset + row]);
-    plan->Add(col.cardinality, static_cast<uint32_t>(y[j]),
-              std::move(tasks));
+    plan->Add(col.cardinality, static_cast<uint32_t>(y[j]), tasks);
   }
 }
 
@@ -177,14 +176,16 @@ Result<DecompositionPlan> BaselineSolver::Solve(const CrowdsourcingTask& task,
   } else {
     for (size_t c = 0; c < chunks.size(); ++c) solve_chunk(c);
   }
-  size_t total_placements = plan.placements().size();
+  size_t total_placements = plan.num_placements();
+  size_t total_ids = plan.num_task_ids();
   for (const DecompositionPlan& chunk_plan : chunk_plans) {
-    total_placements += chunk_plan.placements().size();
+    total_placements += chunk_plan.num_placements();
+    total_ids += chunk_plan.num_task_ids();
   }
-  plan.Reserve(total_placements);
+  plan.Reserve(total_placements, total_ids);
   for (size_t c = 0; c < chunks.size(); ++c) {
     SLADE_RETURN_NOT_OK(chunk_status[c]);
-    plan.Append(std::move(chunk_plans[c]));
+    plan.AppendColumns(chunk_plans[c]);
   }
   return plan;
 }

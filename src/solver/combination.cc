@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/math_util.h"
-#include "solver/plan_arena.h"
 
 namespace slade {
 
@@ -49,26 +48,6 @@ double Combination::ExpandInto(const std::vector<TaskId>& ids, size_t offset,
     const size_t k = cardinality;
     for (size_t group = 0; group < count; group += k) {
       const size_t group_size = std::min(k, count - group);
-      std::vector<TaskId> members;
-      members.reserve(group_size);
-      for (size_t j = 0; j < group_size; ++j) {
-        members.push_back(ids[offset + group + j]);
-      }
-      plan->Add(cardinality, copies, std::move(members));
-      cost += static_cast<double>(copies) * profile.bin(cardinality).cost;
-    }
-  }
-  return cost;
-}
-
-double Combination::ExpandInto(const std::vector<TaskId>& ids, size_t offset,
-                               size_t count, const BinProfile& profile,
-                               ColumnarPlan* plan) const {
-  double cost = 0.0;
-  for (const auto& [cardinality, copies] : parts_) {
-    const size_t k = cardinality;
-    for (size_t group = 0; group < count; group += k) {
-      const size_t group_size = std::min(k, count - group);
       plan->Add(cardinality, copies, ids.data() + offset + group, group_size);
       cost += static_cast<double>(copies) * profile.bin(cardinality).cost;
     }
@@ -87,46 +66,6 @@ double Combination::ExpandBlocksInto(const std::vector<TaskId>& ids,
   // the block's lcm ids into lcm/k groups of exactly k (k divides lcm by
   // construction). Derived once; every block stamps the same groups at its
   // own id offset.
-  struct TemplateGroup {
-    uint32_t cardinality;
-    uint32_t copies;
-    size_t begin;  // offset of the group's first id within the block
-  };
-  std::vector<TemplateGroup> groups;
-  double block_cost = 0.0;
-  size_t groups_per_block = 0;
-  for (const auto& [cardinality, copies] : parts_) {
-    groups_per_block += lcm / cardinality;
-  }
-  groups.reserve(groups_per_block);
-  for (const auto& [cardinality, copies] : parts_) {
-    for (size_t begin = 0; begin < lcm; begin += cardinality) {
-      groups.push_back(TemplateGroup{cardinality, copies, begin});
-    }
-    block_cost += static_cast<double>(lcm / cardinality) *
-                  static_cast<double>(copies) * profile.bin(cardinality).cost;
-  }
-
-  plan->Reserve(plan->placements().size() +
-                static_cast<size_t>(blocks) * groups_per_block);
-  for (uint64_t block = 0; block < blocks; ++block) {
-    const size_t base = offset + static_cast<size_t>(block) * lcm;
-    for (const TemplateGroup& g : groups) {
-      const auto first = ids.begin() + static_cast<ptrdiff_t>(base + g.begin);
-      plan->Add(g.cardinality, g.copies,
-                std::vector<TaskId>(first, first + g.cardinality));
-    }
-  }
-  return static_cast<double>(blocks) * block_cost;
-}
-
-double Combination::ExpandBlocksInto(const std::vector<TaskId>& ids,
-                                     size_t offset, uint64_t blocks,
-                                     const BinProfile& profile,
-                                     ColumnarPlan* plan) const {
-  if (blocks == 0) return 0.0;
-  const size_t lcm = static_cast<size_t>(lcm_);
-
   struct TemplateGroup {
     uint32_t cardinality;
     uint32_t copies;

@@ -17,8 +17,6 @@
 
 namespace slade {
 
-class ColumnarPlan;
-
 /// \brief A combination of task bins
 /// `Comb = {n_{k1} x b_{k1}, ..., n_{kl} x b_{kl}}`: every atomic task
 /// routed through the combination is placed in `n_k` bins of cardinality
@@ -60,38 +58,27 @@ class Combination {
   /// n_k bins of each part, so the reliability guarantee is preserved.
   ///
   /// Returns the actual incentive cost of the emitted bins (equal to
-  /// block_cost() for a full block, less for a padded one).
+  /// block_cost() for a full block, less for a padded one). Each group is
+  /// stamped straight into the plan's flat columns (one memcpy per group).
   double ExpandInto(const std::vector<TaskId>& ids, size_t offset,
                     size_t count, const BinProfile& profile,
                     DecompositionPlan* plan) const;
-
-  /// Columnar variant: groups are stamped straight into the plan's flat
-  /// columns (one memcpy per group, no per-placement vector).
-  double ExpandInto(const std::vector<TaskId>& ids, size_t offset,
-                    size_t count, const BinProfile& profile,
-                    ColumnarPlan* plan) const;
 
   /// \brief Emits `blocks` consecutive perfect blocks of `lcm()` tasks
   /// each, starting at `ids[offset]` -- the Algorithm 3 lines 12-15 bulk
   /// path. Equivalent to calling `ExpandInto(ids, offset + b * lcm(),
   /// lcm(), ...)` for b = 0..blocks-1 (placements appended in the same
   /// order), but materializes the block's placement template (one
-  /// (cardinality, copies, begin) group list) once, bulk-reserves the
-  /// plan's placement storage for all blocks, and stamps the template with
-  /// id offsets instead of re-deriving group bounds per block.
+  /// (cardinality, copies, begin) group list) once, reserves every plan
+  /// column once (placements AND task-id slots for all blocks), and
+  /// range-fills the template per block -- zero allocations in the steady
+  /// state of a reset-reused arena.
   ///
   /// Returns the total incentive cost of the emitted bins
   /// (`blocks * block_cost()` up to rounding of the per-bin sum).
   double ExpandBlocksInto(const std::vector<TaskId>& ids, size_t offset,
                           uint64_t blocks, const BinProfile& profile,
                           DecompositionPlan* plan) const;
-
-  /// Columnar variant: reserves every column once (placements AND task-id
-  /// slots for all blocks), then range-fills the template per block --
-  /// zero allocations in the steady state of a reset-reused arena.
-  double ExpandBlocksInto(const std::vector<TaskId>& ids, size_t offset,
-                          uint64_t blocks, const BinProfile& profile,
-                          ColumnarPlan* plan) const;
 
   /// "{3 x b1, 2 x b2, 1 x b3} LCM=6 UC=0.56".
   std::string ToString() const;

@@ -69,7 +69,7 @@ Result<DecompositionPlan> FixedCardinalitySolver::Solve(
       const size_t end = std::min<size_t>(start + l, round_size);
       std::vector<TaskId> members(order.begin() + start,
                                   order.begin() + end);
-      plan.Add(l, 1, std::move(members));
+      plan.Add(l, 1, members);
     }
   }
   return plan;

@@ -107,7 +107,7 @@ Result<DecompositionPlan> GreedySolver::Solve(const CrowdsourcingTask& task,
       for (size_t k = 0; k < cover; ++k) {
         ids.push_back(entries[begin + k].id);
       }
-      plan.Add(l_star, 1, std::move(ids));
+      plan.Add(l_star, 1, ids);
     }
     const size_t touched = reps * cover;
     for (size_t k = 0; k < touched; ++k) {

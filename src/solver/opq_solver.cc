@@ -3,17 +3,12 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "solver/plan_arena.h"
 
 namespace slade {
-namespace {
 
-// Algorithm 3's main loop, shared between the AoS and columnar plan
-// representations (the Expand* overloads pick the stamping strategy).
-template <typename PlanT>
-Status RunOpqAssignmentImpl(const OptimalPriorityQueue& queue,
-                            const std::vector<TaskId>& ids,
-                            const BinProfile& profile, PlanT* plan) {
+Status RunOpqAssignment(const OptimalPriorityQueue& queue,
+                        const std::vector<TaskId>& ids,
+                        const BinProfile& profile, DecompositionPlan* plan) {
   if (queue.size() == 0) {
     return Status::Internal("empty optimal priority queue");
   }
@@ -53,20 +48,6 @@ Status RunOpqAssignmentImpl(const OptimalPriorityQueue& queue,
     }
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, DecompositionPlan* plan) {
-  return RunOpqAssignmentImpl(queue, ids, profile, plan);
-}
-
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, ColumnarPlan* plan) {
-  return RunOpqAssignmentImpl(queue, ids, profile, plan);
 }
 
 Result<DecompositionPlan> OpqSolver::Solve(const CrowdsourcingTask& task,

@@ -9,8 +9,6 @@
 
 namespace slade {
 
-class ColumnarPlan;
-
 /// \brief Assigns the atomic tasks in `ids` using `queue` (Algorithm 3's
 /// main loop), appending the posted bins to `plan`.
 ///
@@ -29,12 +27,6 @@ class ColumnarPlan;
 Status RunOpqAssignment(const OptimalPriorityQueue& queue,
                         const std::vector<TaskId>& ids,
                         const BinProfile& profile, DecompositionPlan* plan);
-
-/// Columnar variant of RunOpqAssignment: identical placement sequence,
-/// stamped into flat columns via the ColumnarPlan Expand* overloads.
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, ColumnarPlan* plan);
 
 /// \brief OPQ-Based approximation solver for the homogeneous SLADE problem
 /// (Algorithm 3): log(n)-approximate (Theorem 2), and exactly optimal when

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "common/math_util.h"
 #include "engine/resource_governor.h"
 
 namespace slade {
@@ -180,192 +179,6 @@ void PlanArena::AddChunk(size_t min_bytes) {
 void PlanArena::Reset() {
   for (Chunk& chunk : chunks_) chunk.used = 0;
   active_ = 0;
-}
-
-ColumnarPlan::ColumnarPlan(const ColumnarPlan& other)
-    : arena_(std::make_unique<PlanArena>()) {
-  AppendColumns(other);
-}
-
-ColumnarPlan& ColumnarPlan::operator=(const ColumnarPlan& other) {
-  if (this == &other) return *this;
-  Clear();
-  // Clear() rewound the arena; the columns must not reuse their stale
-  // pointers into it.
-  task_ids_.Detach();
-  ends_.Detach();
-  cardinality_.Detach();
-  copies_.Detach();
-  AppendColumns(other);
-  return *this;
-}
-
-void ColumnarPlan::Reserve(size_t placements, size_t ids) {
-  task_ids_.Reserve(*arena_, ids);
-  ends_.Reserve(*arena_, placements);
-  cardinality_.Reserve(*arena_, placements);
-  copies_.Reserve(*arena_, placements);
-}
-
-void ColumnarPlan::Add(uint32_t cardinality, uint32_t copies,
-                       const TaskId* ids, size_t n) {
-  if (copies == 0) return;
-  TaskId* out = task_ids_.AppendN(*arena_, n);
-  if (n != 0) std::memcpy(out, ids, n * sizeof(TaskId));
-  ends_.PushBack(*arena_, static_cast<uint32_t>(task_ids_.size()));
-  cardinality_.PushBack(*arena_, cardinality);
-  copies_.PushBack(*arena_, copies);
-}
-
-void ColumnarPlan::AppendColumns(const ColumnarPlan& other) {
-  AppendRange(other, 0, other.num_placements(), 0);
-}
-
-void ColumnarPlan::AppendRange(const ColumnarPlan& other, size_t first,
-                               size_t count, int64_t id_delta) {
-  if (count == 0) return;
-  const size_t id_begin = other.placement_begin(first);
-  const size_t id_end = other.placement_end(first + count - 1);
-  const size_t ids = id_end - id_begin;
-
-  TaskId* id_out = task_ids_.AppendN(*arena_, ids);
-  if (id_delta == 0) {
-    std::memcpy(id_out, other.task_ids() + id_begin, ids * sizeof(TaskId));
-  } else {
-    const TaskId* src = other.task_ids() + id_begin;
-    for (size_t k = 0; k < ids; ++k) {
-      id_out[k] = static_cast<TaskId>(static_cast<int64_t>(src[k]) +
-                                      id_delta);
-    }
-  }
-
-  uint32_t* cards = cardinality_.AppendN(*arena_, count);
-  std::memcpy(cards, other.cardinalities() + first, count * sizeof(uint32_t));
-  uint32_t* copies = copies_.AppendN(*arena_, count);
-  std::memcpy(copies, other.copies() + first, count * sizeof(uint32_t));
-
-  // The ends column needs a rebase: subtract the range's base offset in
-  // `other`, add the id count already present here.
-  const int64_t rebase = static_cast<int64_t>(task_ids_.size()) -
-                         static_cast<int64_t>(id_end);
-  uint32_t* ends = ends_.AppendN(*arena_, count);
-  const uint32_t* src_ends = other.ends() + first;
-  for (size_t k = 0; k < count; ++k) {
-    ends[k] =
-        static_cast<uint32_t>(static_cast<int64_t>(src_ends[k]) + rebase);
-  }
-}
-
-void ColumnarPlan::AppendPlan(const DecompositionPlan& plan,
-                              TaskId id_offset) {
-  const std::vector<BinPlacement>& placements = plan.placements();
-  size_t ids = 0;
-  for (const BinPlacement& p : placements) ids += p.tasks.size();
-  Reserve(num_placements() + placements.size(), num_task_ids() + ids);
-  for (const BinPlacement& p : placements) {
-    if (id_offset == 0) {
-      Add(p.cardinality, p.copies, p.tasks.data(), p.tasks.size());
-    } else {
-      TaskId* out = task_ids_.AppendN(*arena_, p.tasks.size());
-      for (size_t k = 0; k < p.tasks.size(); ++k) {
-        out[k] = p.tasks[k] + id_offset;
-      }
-      ends_.PushBack(*arena_, static_cast<uint32_t>(task_ids_.size()));
-      cardinality_.PushBack(*arena_, p.cardinality);
-      copies_.PushBack(*arena_, p.copies);
-    }
-  }
-}
-
-void ColumnarPlan::AppendToPlan(DecompositionPlan* out,
-                                TaskId id_offset) const {
-  out->Reserve(out->placements().size() + num_placements());
-  for (size_t i = 0; i < num_placements(); ++i) {
-    const PlacementView p = view(i);
-    std::vector<TaskId> tasks(p.tasks, p.tasks + p.num_tasks);
-    if (id_offset != 0) {
-      for (TaskId& id : tasks) id += id_offset;
-    }
-    out->Add(p.cardinality, p.copies, std::move(tasks));
-  }
-}
-
-DecompositionPlan ColumnarPlan::ToPlan() const {
-  DecompositionPlan out;
-  AppendToPlan(&out);
-  return out;
-}
-
-ColumnarPlan ColumnarPlan::FromPlan(const DecompositionPlan& plan,
-                                    ResourceGovernor* governor) {
-  ColumnarPlan out(governor);
-  out.AppendPlan(plan);
-  return out;
-}
-
-void ColumnarPlan::Clear() {
-  task_ids_.Detach();
-  ends_.Detach();
-  cardinality_.Detach();
-  copies_.Detach();
-  arena_->Reset();
-}
-
-double ColumnarPlan::TotalCost(const BinProfile& profile) const {
-  // Per-cardinality cost table: the sweep reads two dense u32 columns and
-  // one small table instead of chasing per-placement bin structs.
-  const std::vector<TaskBin>& bins = profile.bins();
-  std::vector<double> cost_of(bins.size() + 1, 0.0);
-  for (const TaskBin& bin : bins) cost_of[bin.cardinality] = bin.cost;
-  double cost = 0.0;
-  const size_t n = num_placements();
-  for (size_t i = 0; i < n; ++i) {
-    if (cardinality_[i] < cost_of.size()) {
-      cost += static_cast<double>(copies_[i]) * cost_of[cardinality_[i]];
-    }
-  }
-  return cost;
-}
-
-std::vector<uint64_t> ColumnarPlan::BinCounts(uint32_t max_cardinality) const {
-  std::vector<uint64_t> counts(max_cardinality + 1, 0);
-  const size_t n = num_placements();
-  for (size_t i = 0; i < n; ++i) {
-    if (cardinality_[i] <= max_cardinality) {
-      counts[cardinality_[i]] += copies_[i];
-    }
-  }
-  return counts;
-}
-
-uint64_t ColumnarPlan::TotalBinInstances() const {
-  uint64_t total = 0;
-  const size_t n = num_placements();
-  for (size_t i = 0; i < n; ++i) total += copies_[i];
-  return total;
-}
-
-std::vector<double> ColumnarPlan::PerTaskReliability(const BinProfile& profile,
-                                                     size_t n) const {
-  // Per-cardinality log-weight table, then one flat sweep: placement i
-  // scatters `copies * w[l]` into theta over its id range.
-  const std::vector<double>& log_weights = profile.log_weights();
-  std::vector<double> theta(n, 0.0);
-  const size_t placements = num_placements();
-  size_t begin = 0;
-  for (size_t i = 0; i < placements; ++i) {
-    const size_t end = ends_[i];
-    const double w = log_weights[cardinality_[i] - 1] *
-                     static_cast<double>(copies_[i]);
-    for (size_t k = begin; k < end; ++k) {
-      const TaskId id = task_ids_[k];
-      if (id < n) theta[id] += w;
-    }
-    begin = end;
-  }
-  std::vector<double> rel(n);
-  for (size_t i = 0; i < n; ++i) rel[i] = InverseLogReduction(theta[i]);
-  return rel;
 }
 
 }  // namespace slade

@@ -1,34 +1,19 @@
 // Copyright (c) the SLADE reproduction authors.
-// Arena-backed columnar decomposition plans.
+// The arena that backs decomposition plan columns (see solver/plan.h).
 //
-// PR 4 made OPQ *construction* allocation-free; this file does the same for
-// plan *materialization* and everything downstream of it. The classic
-// DecompositionPlan is an array-of-structs: every BinPlacement owns its own
-// heap-allocated std::vector<TaskId>, so a million-placement merged plan
-// costs a million allocations to build, a million pointer chases to walk,
-// and a million frees to drop. ColumnarPlan is the structure-of-arrays
-// alternative (Arrow's columnar buffer + memory-pool design is the model):
-//
-//   task_ids[]    -- every placement's member ids, back to back
-//   ends[]        -- placement i's ids live in
-//                    [ends[i-1], ends[i])  (ends[-1] == 0)
-//   cardinality[] -- bin cardinality l per placement
-//   copies[]      -- posted instances per placement
-//
-// All four columns live in one PlanArena: a chunked bump allocator that is
+// OPQ *construction* is allocation-free (opq_builder.h); this file does the
+// same for plan *materialization* and everything downstream of it.
+// PlanArena is a chunked bump allocator that is
 //   * reserve-friendly -- Combination::ExpandBlocksInto sizes a whole
 //     assignment up front, so the steady state is one chunk and zero
 //     per-placement allocations;
-//   * reset-reusable -- Clear() rewinds the arena without freeing, so a
+//   * reset-reusable -- Reset() rewinds the arena without freeing, so a
 //     serving loop stamping plans round after round allocates only on the
 //     first round;
 //   * byte-charged -- an optional ResourceGovernor is charged per chunk,
 //     making plan-materialization memory visible in the same ledger that
 //     already bounds the OPQ cache and the admission queue.
-//
-// Consumers (validation, cost accounting, splitting, merge, dispatch) walk
-// the flat columns with dense loops instead of node-at-a-time traversal;
-// see plan_validator.h, plan_splitter.h, decomposition_engine.h.
+// ArenaColumn is one growable typed column inside such an arena.
 
 #ifndef SLADE_SOLVER_PLAN_ARENA_H_
 #define SLADE_SOLVER_PLAN_ARENA_H_
@@ -39,15 +24,11 @@
 #include <memory>
 #include <vector>
 
-#include "binmodel/task.h"
-#include "binmodel/task_bin.h"
-#include "solver/plan.h"
-
 namespace slade {
 
 class ResourceGovernor;
 
-/// \brief Chunked bump allocator backing ColumnarPlan columns.
+/// \brief Chunked bump allocator backing DecompositionPlan columns.
 ///
 /// Allocate() never frees; Reset() rewinds every chunk for reuse without
 /// returning memory (or governor charges). Chunks grow geometrically from
@@ -151,7 +132,7 @@ class ArenaColumn {
   /// Grows capacity to at least `n`. A relocation doubles the current
   /// capacity at minimum, so a caller that conservatively Reserves exact
   /// totals before every append (e.g. per ExpandBlocksInto call, or
-  /// AppendPlan in a merge loop) still amortizes to O(1) copies per
+  /// AppendColumns in a merge loop) still amortizes to O(1) copies per
   /// element instead of relocating the whole column each time.
   void Reserve(PlanArena& arena, size_t n) {
     if (n <= capacity_) return;
@@ -193,126 +174,6 @@ class ArenaColumn {
   T* data_ = nullptr;
   size_t size_ = 0;
   size_t capacity_ = 0;
-};
-
-/// \brief Structure-of-arrays decomposition plan (see the file comment).
-///
-/// Semantically interchangeable with DecompositionPlan -- FromPlan/ToPlan
-/// convert both ways, placement for placement -- but built and consumed as
-/// flat columns. The engine hot path (solve -> merge -> split -> validate
-/// -> dispatch) runs entirely on this representation; the AoS
-/// DecompositionPlan remains the adapter for solvers and cold paths.
-class ColumnarPlan {
- public:
-  /// `governor` (may be null) is charged per arena chunk; it must outlive
-  /// the plan unless DetachGovernor() is called first.
-  explicit ColumnarPlan(ResourceGovernor* governor = nullptr)
-      : arena_(std::make_unique<PlanArena>(governor)) {}
-
-  // Deep copy (fresh arena, no governor). Hot paths move instead.
-  ColumnarPlan(const ColumnarPlan& other);
-  ColumnarPlan& operator=(const ColumnarPlan& other);
-  ColumnarPlan(ColumnarPlan&&) noexcept = default;
-  ColumnarPlan& operator=(ColumnarPlan&&) noexcept = default;
-
-  /// \brief Zero-copy read view of one placement.
-  struct PlacementView {
-    uint32_t cardinality = 0;
-    uint32_t copies = 0;
-    const TaskId* tasks = nullptr;
-    uint32_t num_tasks = 0;
-  };
-
-  size_t num_placements() const { return cardinality_.size(); }
-  bool empty() const { return cardinality_.size() == 0; }
-  size_t num_task_ids() const { return task_ids_.size(); }
-
-  size_t placement_begin(size_t i) const { return i == 0 ? 0 : ends_[i - 1]; }
-  size_t placement_end(size_t i) const { return ends_[i]; }
-
-  PlacementView view(size_t i) const {
-    const size_t begin = placement_begin(i);
-    return PlacementView{cardinality_[i], copies_[i], task_ids_.data() + begin,
-                         static_cast<uint32_t>(ends_[i] - begin)};
-  }
-
-  // Raw columns for flat passes (sizes: num_placements(), except task_ids
-  // with num_task_ids()). ends()[i] is the exclusive task-id offset of
-  // placement i; placement 0 begins at 0.
-  const TaskId* task_ids() const { return task_ids_.data(); }
-  const uint32_t* ends() const { return ends_.data(); }
-  const uint32_t* cardinalities() const { return cardinality_.data(); }
-  const uint32_t* copies() const { return copies_.data(); }
-
-  /// Pre-sizes the columns; the workhorse of bulk stamping. Growth still
-  /// works without it, at O(log) extra arena chunks.
-  void Reserve(size_t placements, size_t ids);
-
-  /// Appends one placement: `copies` instances of an l=`cardinality` bin
-  /// holding the `n` ids at `ids`. No-op when copies == 0 (mirroring
-  /// DecompositionPlan::Add).
-  void Add(uint32_t cardinality, uint32_t copies, const TaskId* ids,
-           size_t n);
-  void Add(uint32_t cardinality, uint32_t copies,
-           const std::vector<TaskId>& ids) {
-    Add(cardinality, copies, ids.data(), ids.size());
-  }
-
-  /// Column-concatenates `other` onto this plan (the shard merge): three
-  /// memcpys plus an offset-rebase of the ends column, no per-placement
-  /// work.
-  void AppendColumns(const ColumnarPlan& other);
-
-  /// Column-concatenates placements [first, first + count) of `other`,
-  /// shifting every task id by `id_delta` (the splitter's contiguous-run
-  /// fast path).
-  void AppendRange(const ColumnarPlan& other, size_t first, size_t count,
-                   int64_t id_delta);
-
-  /// Appends an AoS plan, shifting ids by `id_offset` (adapter; reserves
-  /// once up front).
-  void AppendPlan(const DecompositionPlan& plan, TaskId id_offset = 0);
-
-  /// Appends this plan onto an AoS plan, shifting ids by `id_offset`
-  /// (adapter for legacy consumers; reserves `out` once up front).
-  void AppendToPlan(DecompositionPlan* out, TaskId id_offset = 0) const;
-
-  DecompositionPlan ToPlan() const;
-  static ColumnarPlan FromPlan(const DecompositionPlan& plan,
-                               ResourceGovernor* governor = nullptr);
-
-  /// Empties the plan and rewinds the arena; the next fill of similar
-  /// shape allocates nothing.
-  void Clear();
-
-  /// See PlanArena::DetachGovernor.
-  void DetachGovernor() { arena_->DetachGovernor(); }
-
-  // --- flat accounting passes (single sweeps over the columns, bin
-  // --- lookups through per-cardinality tables) ---
-
-  /// Total incentive cost `sum tau_l * c_l` under `profile`.
-  double TotalCost(const BinProfile& profile) const;
-
-  /// Bin-usage counts tau_l indexed by cardinality (index 0 unused).
-  std::vector<uint64_t> BinCounts(uint32_t max_cardinality) const;
-
-  /// Total number of posted bin instances (sum of copies).
-  uint64_t TotalBinInstances() const;
-
-  /// Per-task achieved reliability (Equation 1) under `profile`; tasks
-  /// never placed get 0.
-  std::vector<double> PerTaskReliability(const BinProfile& profile,
-                                         size_t n) const;
-
-  const PlanArena& arena() const { return *arena_; }
-
- private:
-  std::unique_ptr<PlanArena> arena_;
-  ArenaColumn<TaskId> task_ids_;
-  ArenaColumn<uint32_t> ends_;
-  ArenaColumn<uint32_t> cardinality_;
-  ArenaColumn<uint32_t> copies_;
 };
 
 }  // namespace slade

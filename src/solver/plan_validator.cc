@@ -3,22 +3,15 @@
 #include <algorithm>
 
 #include "common/math_util.h"
-#include "solver/plan_arena.h"
 
 namespace slade {
-namespace {
 
-// Shared validation core, templated over the placement accessor so the AoS
-// and columnar paths run the identical fused loop: bounds check, duplicate
-// check and reliability accumulation in one pass per placement.
-//
 // Duplicate detection uses an epoch-stamped scratch array instead of a
 // per-placement unordered_set: `last_seen[id] == epoch` iff `id` already
 // appeared in the current placement. Advancing the epoch retires all
 // stamps in O(1), so a 10^5-placement plan costs one n-sized allocation
 // total instead of 10^5 hash-set rebuilds.
-template <typename ViewFn>
-Result<ValidationReport> ValidateImpl(size_t num_placements, ViewFn view,
+Result<ValidationReport> ValidatePlan(const DecompositionPlan& plan,
                                       const CrowdsourcingTask& task,
                                       const BinProfile& profile) {
   const size_t n = task.size();
@@ -41,8 +34,9 @@ Result<ValidationReport> ValidateImpl(size_t num_placements, ViewFn view,
   std::vector<uint32_t> last_seen(n, 0);
   uint32_t epoch = 0;
 
+  const size_t num_placements = plan.num_placements();
   for (size_t pi = 0; pi < num_placements; ++pi) {
-    const ColumnarPlan::PlacementView p = view(pi);
+    const DecompositionPlan::PlacementView p = plan.view(pi);
     if (p.cardinality == 0 || p.cardinality > max_cardinality) {
       return Status::InvalidArgument(
           "placement " + std::to_string(pi) + " uses cardinality " +
@@ -97,31 +91,6 @@ Result<ValidationReport> ValidateImpl(size_t num_placements, ViewFn view,
     }
   }
   return report;
-}
-
-}  // namespace
-
-Result<ValidationReport> ValidatePlan(const DecompositionPlan& plan,
-                                      const CrowdsourcingTask& task,
-                                      const BinProfile& profile) {
-  const std::vector<BinPlacement>& placements = plan.placements();
-  return ValidateImpl(
-      placements.size(),
-      [&placements](size_t i) {
-        const BinPlacement& p = placements[i];
-        return ColumnarPlan::PlacementView{
-            p.cardinality, p.copies, p.tasks.data(),
-            static_cast<uint32_t>(p.tasks.size())};
-      },
-      task, profile);
-}
-
-Result<ValidationReport> ValidatePlan(const ColumnarPlan& plan,
-                                      const CrowdsourcingTask& task,
-                                      const BinProfile& profile) {
-  return ValidateImpl(
-      plan.num_placements(), [&plan](size_t i) { return plan.view(i); },
-      task, profile);
 }
 
 }  // namespace slade

@@ -11,8 +11,6 @@
 
 namespace slade {
 
-class ColumnarPlan;
-
 /// \brief Structural + reliability validation report.
 struct ValidationReport {
   /// Per Definition 3: Rel(a_i, B(a_i)) >= t_i for all i.
@@ -36,14 +34,11 @@ struct ValidationReport {
 /// Structural violations (1-2) return an error Status; an infeasible but
 /// well-formed plan returns OK with `feasible == false` so callers can
 /// report the margin.
+///
+/// One fused sweep over the plan's columns: bounds, duplicate and
+/// reliability checks share a single pass, with a per-cardinality weight
+/// lookup table and an epoch-stamped duplicate scratch.
 Result<ValidationReport> ValidatePlan(const DecompositionPlan& plan,
-                                      const CrowdsourcingTask& task,
-                                      const BinProfile& profile);
-
-/// Columnar variant: one fused sweep over the flat columns (bounds, dup
-/// and reliability accumulation in a single pass, per-cardinality weight
-/// lookup table, epoch-stamped dup scratch). Same checks, same report.
-Result<ValidationReport> ValidatePlan(const ColumnarPlan& plan,
                                       const CrowdsourcingTask& task,
                                       const BinProfile& profile);
 

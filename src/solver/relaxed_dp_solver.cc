@@ -48,7 +48,7 @@ Result<DecompositionPlan> RelaxedDpSolver::Solve(const CrowdsourcingTask& task,
     for (size_t k = j - take; k < j; ++k) {
       ids.push_back(static_cast<TaskId>(k));
     }
-    plan.Add(l, 1, std::move(ids));
+    plan.Add(l, 1, ids);
     j -= take;
   }
   return plan;

@@ -4,6 +4,7 @@
 
 #include "binmodel/profile_model.h"
 #include "common/random.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 
 namespace slade {
@@ -109,13 +110,7 @@ TEST(BaselineSolverTest, ParallelChunksMatchSerialExactly) {
   auto pp = parallel.Solve(*task, profile);
   ASSERT_TRUE(ps.ok());
   ASSERT_TRUE(pp.ok());
-  ASSERT_EQ(ps->placements().size(), pp->placements().size());
-  for (size_t i = 0; i < ps->placements().size(); ++i) {
-    EXPECT_EQ(ps->placements()[i].cardinality,
-              pp->placements()[i].cardinality);
-    EXPECT_EQ(ps->placements()[i].copies, pp->placements()[i].copies);
-    EXPECT_EQ(ps->placements()[i].tasks, pp->placements()[i].tasks);
-  }
+  EXPECT_EQ(PlanSignature(*ps), PlanSignature(*pp));
 }
 
 TEST(BaselineSolverTest, CostIsAboveTheLpFloorPerTask) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Exit-code tests for slade_cli's flag parsing.
+"""Exit-code tests for slade_cli's flag and CSV input parsing.
 
 Bad numeric flags must fail with exit code 1 before any work starts:
-trailing garbage, out-of-range values, NaN and infinity. Valid runs of the
+trailing garbage, out-of-range values, NaN and infinity. So must plan and
+profile CSV cells too wide for their 32-bit fields. Valid runs of the
 same subcommands must still exit 0. Inputs are written into a temporary
 directory.
 
@@ -61,6 +62,12 @@ class CliFlagsTest(unittest.TestCase):
         return ("stream", "--profile", self.profile, "--workload",
                 self.workload, *flags)
 
+    def write(self, name, text):
+        path = os.path.join(self.tmp.name, name)
+        with open(path, "w") as f:
+            f.write(text)
+        return path
+
     def test_valid_profile_run_succeeds(self):
         self.assertExit(0, *self.profile_with("8"))
 
@@ -87,6 +94,29 @@ class CliFlagsTest(unittest.TestCase):
 
     def test_stream_negative_delay_fails(self):
         self.assertExit(1, *self.stream_with("--max-delay-ms", "-1"))
+
+    def test_solve_plan_round_trips_through_validate(self):
+        plan = os.path.join(self.tmp.name, "solved.csv")
+        task = ("--homogeneous", "1000,0.9")
+        self.assertExit(0, "solve", "--profile", self.profile, *task,
+                        "--solver", "opq-extended", "--out", plan)
+        self.assertExit(0, "validate", "--profile", self.profile, "--plan",
+                        plan, *task)
+
+    def test_validate_plan_values_beyond_32_bits_fail(self):
+        # Each row wraps to the feasible plan row "1,40,0" if truncated.
+        for row in ("4294967297,40,0", "1,4294967336,0", "1,40,4294967296"):
+            with self.subTest(row=row):
+                plan = self.write("wide_plan.csv",
+                                  "cardinality,copies,tasks\n" + row + "\n")
+                self.assertExit(1, "validate", "--profile", self.profile,
+                                "--plan", plan, "--homogeneous", "1,0.9")
+
+    def test_opq_profile_cardinality_beyond_32_bits_fails(self):
+        profile = self.write("wide_profile.csv",
+                             "cardinality,confidence,cost\n"
+                             "4294967297,0.9,0.1\n")
+        self.assertExit(1, "opq", "--profile", profile, "--threshold", "0.9")
 
 
 if __name__ == "__main__":

@@ -13,24 +13,10 @@
 #include "binmodel/profile_model.h"
 #include "common/random.h"
 #include "engine/streaming_engine.h"
+#include "plan_signature.h"
 
 namespace slade {
 namespace {
-
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 BinProfile JellyProfile() {
   auto profile = BuildProfile(MakeModel(DatasetKind::kJelly), 10);

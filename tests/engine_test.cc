@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_signature.h"
 #include "solver/opq_solver.h"
 #include "solver/plan_validator.h"
 #include "workload/workload.h"
@@ -20,23 +21,6 @@ BatchWorkload SmallHeterogeneousBatch(size_t num_tasks = 40,
                                  ExperimentDefaults::kSeed);
   EXPECT_TRUE(batch.ok()) << batch.status().ToString();
   return std::move(batch).ValueOrDie();
-}
-
-// Plans don't expose operator==; compare the observable outcome instead:
-// cost, bin counts per cardinality, and the serialized placements.
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
 }
 
 TEST(DecompositionEngineTest, EmptyBatchIsRejected) {

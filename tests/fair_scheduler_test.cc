@@ -61,9 +61,10 @@ CrowdsourcingTask BlockerTask() { return FixedTask(20000, 1); }
 /// every placement as (cardinality x copies: sorted task ids).
 std::string PlacementSignature(const RequesterPlan& slice) {
   std::vector<std::string> parts;
-  const DecompositionPlan plan = slice.plan.ToPlan();
-  for (const BinPlacement& placement : plan.placements()) {
-    std::vector<TaskId> tasks = placement.tasks;
+  for (size_t i = 0; i < slice.plan.num_placements(); ++i) {
+    const DecompositionPlan::PlacementView placement = slice.plan.view(i);
+    std::vector<TaskId> tasks(placement.tasks,
+                              placement.tasks + placement.num_tasks);
     std::sort(tasks.begin(), tasks.end());
     std::ostringstream part;
     part << placement.cardinality << "x" << placement.copies << ":";

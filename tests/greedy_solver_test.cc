@@ -33,8 +33,8 @@ TEST(GreedySolverTest, FirstPickMatchesPaperTrace) {
   GreedySolver solver(GreedySolver::Strategy::kNaive);
   auto plan = solver.Solve(*task, profile);
   ASSERT_TRUE(plan.ok());
-  ASSERT_FALSE(plan->placements().empty());
-  EXPECT_EQ(plan->placements().front().cardinality, 1u);
+  ASSERT_FALSE(plan->empty());
+  EXPECT_EQ(plan->view(0).cardinality, 1u);
 }
 
 TEST(GreedySolverTest, SingleTaskUsesCheapestSufficientCombination) {

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "binmodel/profile_model.h"
+#include "plan_signature.h"
 
 namespace slade {
 namespace {
@@ -85,13 +86,7 @@ TEST_F(ModelIoTest, PlanRoundTrip) {
   ASSERT_TRUE(SavePlanCsv(plan, path_).ok());
   auto loaded = LoadPlanCsv(path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->placements().size(), 3u);
-  EXPECT_EQ(loaded->placements()[0].cardinality, 3u);
-  EXPECT_EQ(loaded->placements()[0].copies, 2u);
-  EXPECT_EQ(loaded->placements()[0].tasks,
-            (std::vector<TaskId>{0, 5, 9}));
-  EXPECT_EQ(loaded->placements()[2].tasks, (std::vector<TaskId>{1, 2}));
-  EXPECT_EQ(loaded->TotalBinInstances(), plan.TotalBinInstances());
+  EXPECT_EQ(PlanSignature(*loaded), "3x2:0;5;9;|1x1:7;|2x4:1;2;|");
 }
 
 TEST_F(ModelIoTest, PlanWithEmptyTaskListRoundTrips) {
@@ -100,8 +95,29 @@ TEST_F(ModelIoTest, PlanWithEmptyTaskListRoundTrips) {
   ASSERT_TRUE(SavePlanCsv(plan, path_).ok());
   auto loaded = LoadPlanCsv(path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->placements().size(), 1u);
-  EXPECT_TRUE(loaded->placements()[0].tasks.empty());
+  EXPECT_EQ(PlanSignature(*loaded), "2x1:|");
+}
+
+TEST_F(ModelIoTest, ValuesBeyond32BitsAreRejectedNotWrapped) {
+  // Cardinality, copies and task ids are 32-bit fields. Truncated, each
+  // row below would load as the plan row "1,40,0" (or, last, as a bin
+  // listing task 0 twice) instead of failing.
+  for (const char* row : {"4294967297,40,0", "1,4294967336,0",
+                          "1,40,4294967296", "1,40,0;4294967296"}) {
+    {
+      std::ofstream out(path_);
+      out << "cardinality,copies,tasks\n" << row << "\n";
+    }
+    const Status st = LoadPlanCsv(path_).status();
+    EXPECT_TRUE(st.IsInvalidArgument() &&
+                st.message().find(path_ + ": row 1") != std::string::npos)
+        << row << ": " << st.ToString();
+  }
+  {
+    std::ofstream out(path_);
+    out << "cardinality,confidence,cost\n4294967297,0.9,0.1\n";
+  }
+  EXPECT_TRUE(LoadBinProfileCsv(path_).status().IsInvalidArgument());
 }
 
 TEST_F(ModelIoTest, LoadMissingFileFails) {

@@ -1,31 +1,16 @@
 #include "solver/plan_arena.h"
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/resource_governor.h"
-#include "solver/plan_validator.h"
+#include "plan_signature.h"
+#include "solver/plan.h"
 
 namespace slade {
 namespace {
-
-std::string Signature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string Signature(const ColumnarPlan& plan) {
-  return Signature(plan.ToPlan());
-}
 
 // --- PlanArena -------------------------------------------------------------
 
@@ -145,90 +130,61 @@ TEST(PlanArenaTest, PoolDropsChunksBeyondByteCap) {
   TrimPlanArenaPool();
 }
 
-// --- ColumnarPlan ----------------------------------------------------------
+// --- DecompositionPlan columns ---------------------------------------------
 
-TEST(ColumnarPlanTest, AddAndViewRoundTrip) {
-  ColumnarPlan plan;
+TEST(DecompositionPlanTest, AddAndViewRoundTrip) {
+  DecompositionPlan plan;
   plan.Add(3, 2, {0, 1, 2});
   plan.Add(2, 1, {3, 4});
   plan.Add(1, 5, {5});
   ASSERT_EQ(plan.num_placements(), 3u);
   EXPECT_EQ(plan.num_task_ids(), 6u);
-  const ColumnarPlan::PlacementView v0 = plan.view(0);
+  const DecompositionPlan::PlacementView v0 = plan.view(0);
   EXPECT_EQ(v0.cardinality, 3u);
   EXPECT_EQ(v0.copies, 2u);
   ASSERT_EQ(v0.num_tasks, 3u);
   EXPECT_EQ(v0.tasks[2], 2u);
-  const ColumnarPlan::PlacementView v2 = plan.view(2);
+  const DecompositionPlan::PlacementView v2 = plan.view(2);
   EXPECT_EQ(v2.cardinality, 1u);
   EXPECT_EQ(v2.copies, 5u);
   ASSERT_EQ(v2.num_tasks, 1u);
   EXPECT_EQ(v2.tasks[0], 5u);
 }
 
-TEST(ColumnarPlanTest, ZeroCopiesPlacementIsDroppedLikeAoS) {
-  ColumnarPlan plan;
-  plan.Add(2, 0, {0, 1});
-  EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.num_task_ids(), 0u);
-}
-
-TEST(ColumnarPlanTest, ConversionRoundTripsBothWays) {
-  DecompositionPlan aos;
-  aos.Add(3, 1, {0, 1, 2});
-  aos.Add(2, 4, {1, 3});
-  aos.Add(2, 1, {2});  // partially filled bin
-  const ColumnarPlan columnar = ColumnarPlan::FromPlan(aos);
-  EXPECT_EQ(Signature(columnar), Signature(aos));
-  const DecompositionPlan back = columnar.ToPlan();
-  EXPECT_EQ(Signature(back), Signature(aos));
-}
-
-TEST(ColumnarPlanTest, AppendColumnsConcatenatesInOrder) {
-  ColumnarPlan a;
+TEST(DecompositionPlanTest, AppendColumnsConcatenatesInOrder) {
+  DecompositionPlan a;
   a.Add(2, 1, {0, 1});
-  ColumnarPlan b;
+  DecompositionPlan b;
   b.Add(3, 2, {2, 3, 4});
   b.Add(1, 1, {5});
   a.AppendColumns(b);
-  EXPECT_EQ(Signature(a), "2x1:0;1;|3x2:2;3;4;|1x1:5;|");
+  EXPECT_EQ(PlanSignature(a), "2x1:0;1;|3x2:2;3;4;|1x1:5;|");
 }
 
-TEST(ColumnarPlanTest, AppendRangeShiftsIdsAndSlicesPlacements) {
-  ColumnarPlan src;
+TEST(DecompositionPlanTest, AppendRangeShiftsIdsAndSlicesPlacements) {
+  DecompositionPlan src;
   src.Add(2, 1, {10, 11});
   src.Add(3, 2, {12, 13, 14});
   src.Add(1, 1, {15});
-  ColumnarPlan dst;
+  DecompositionPlan dst;
   dst.AppendRange(src, 1, 2, /*id_delta=*/-12);
-  EXPECT_EQ(Signature(dst), "3x2:0;1;2;|1x1:3;|");
+  EXPECT_EQ(PlanSignature(dst), "3x2:0;1;2;|1x1:3;|");
 }
 
-TEST(ColumnarPlanTest, AppendPlanAndAppendToPlanApplyOffsets) {
-  DecompositionPlan aos;
-  aos.Add(2, 1, {0, 1});
-  ColumnarPlan columnar;
-  columnar.AppendPlan(aos, /*id_offset=*/100);
-  EXPECT_EQ(Signature(columnar), "2x1:100;101;|");
-  DecompositionPlan out;
-  columnar.AppendToPlan(&out, /*id_offset=*/10);
-  EXPECT_EQ(Signature(out), "2x1:110;111;|");
-}
-
-TEST(ColumnarPlanTest, DeepCopyIsIndependent) {
-  ColumnarPlan a;
+TEST(DecompositionPlanTest, DeepCopyIsIndependent) {
+  DecompositionPlan a;
   a.Add(2, 1, {0, 1});
-  ColumnarPlan b = a;
+  DecompositionPlan b = a;
   b.Add(1, 1, {2});
   EXPECT_EQ(a.num_placements(), 1u);
   EXPECT_EQ(b.num_placements(), 2u);
-  EXPECT_EQ(Signature(a), "2x1:0;1;|");
+  EXPECT_EQ(PlanSignature(a), "2x1:0;1;|");
   a = b;
-  EXPECT_EQ(Signature(a), Signature(b));
+  EXPECT_EQ(PlanSignature(a), PlanSignature(b));
 }
 
-TEST(ColumnarPlanTest, ClearRewindsArenaForReuse) {
-  ColumnarPlan plan;
+TEST(DecompositionPlanTest, ClearRewindsArenaForReuse) {
+  DecompositionPlan plan;
   std::vector<TaskId> ids(64);
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<TaskId>(i);
   for (int i = 0; i < 100; ++i) plan.Add(4, 1, ids.data(), 4);
@@ -243,44 +199,10 @@ TEST(ColumnarPlanTest, ClearRewindsArenaForReuse) {
   EXPECT_EQ(plan.arena().num_chunks(), chunks);
 }
 
-TEST(ColumnarPlanTest, AccountingMatchesAoSOnRandomPlans) {
-  const BinProfile profile = BinProfile::PaperExample();
-  std::mt19937_64 rng(20260807);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t n = 1 + rng() % 40;
-    DecompositionPlan aos;
-    ColumnarPlan columnar;
-    const size_t placements = rng() % 60;
-    for (size_t p = 0; p < placements; ++p) {
-      const uint32_t cardinality =
-          1 + static_cast<uint32_t>(rng() % profile.max_cardinality());
-      const uint32_t copies = 1 + static_cast<uint32_t>(rng() % 3);
-      std::vector<TaskId> ids;
-      const size_t fill = 1 + rng() % cardinality;
-      for (size_t j = 0; j < fill; ++j) {
-        ids.push_back(static_cast<TaskId>(rng() % n));
-      }
-      aos.Add(cardinality, copies, ids);
-      columnar.Add(cardinality, copies, ids);
-    }
-    EXPECT_NEAR(columnar.TotalCost(profile), aos.TotalCost(profile), 1e-12);
-    EXPECT_EQ(columnar.TotalBinInstances(), aos.TotalBinInstances());
-    EXPECT_EQ(columnar.BinCounts(profile.max_cardinality()),
-              aos.BinCounts(profile.max_cardinality()));
-    const std::vector<double> rel_columnar =
-        columnar.PerTaskReliability(profile, n);
-    const std::vector<double> rel_aos = aos.PerTaskReliability(profile, n);
-    ASSERT_EQ(rel_columnar.size(), rel_aos.size());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(rel_columnar[i], rel_aos[i], 1e-12) << "task " << i;
-    }
-  }
-}
-
-TEST(ColumnarPlanTest, BulkStampingAllocatesChunksNotPlacements) {
+TEST(DecompositionPlanTest, BulkStampingAllocatesChunksNotPlacements) {
   // 20k placements of 4 ids each through a reserved plan: the arena must
   // hold everything in a handful of chunks.
-  ColumnarPlan plan;
+  DecompositionPlan plan;
   plan.Reserve(20000, 80000);
   std::vector<TaskId> ids = {0, 1, 2, 3};
   for (int i = 0; i < 20000; ++i) plan.Add(4, 1, ids.data(), ids.size());

@@ -1,16 +1,16 @@
-// Randomized differential suite for the columnar plan pipeline.
+// Randomized differential suite for the plan pipeline.
 //
-// The contract under test: ColumnarPlan is a *representation* change, not a
-// semantics change. At every layer that was migrated from the AoS
-// DecompositionPlan -- the OPQ assignment loop, the batch engine's
-// shard-merge, the splitter, and the streaming front end -- the columnar
-// path must produce a placement-for-placement identical plan to the legacy
-// AoS path, across pooled/isolated sharing, fairness on/off, 1/4/8 worker
-// threads, and OPQ-cache pressure.
+// The contract under test: the batch engine's sharding, OPQ cache, columnar
+// shard-merge, splitter and streaming front end change how a plan is
+// computed and delivered, never what it is. At every layer the plan must
+// be placement-for-placement identical to the per-task reference path,
+// across pooled/isolated sharing, fairness on/off, 1/4/8 worker threads,
+// and OPQ-cache pressure.
 //
-// The AoS oracle is the untouched scalar path: RunOpqAssignment into a
-// DecompositionPlan at the solver layer, and SolveBatchSequential (which
-// routes through the per-task AoS Solver::Solve) at the engine layer.
+// The reference is SolveBatchSequential, which runs the paper's
+// OPQ-Extended solver (Algorithm 5) per crowdsourcing task and merges the
+// per-task plans; at the solver layer, Algorithm 3 itself must be
+// invariant under relabeling the ids it assigns.
 
 #include <cstdint>
 #include <future>
@@ -24,8 +24,9 @@
 #include "engine/decomposition_engine.h"
 #include "engine/plan_splitter.h"
 #include "engine/streaming_engine.h"
+#include "plan_signature.h"
 #include "solver/opq_solver.h"
-#include "solver/plan_arena.h"
+#include "solver/plan.h"
 #include "solver/plan_validator.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
@@ -34,22 +35,6 @@ namespace slade {
 namespace {
 
 constexpr uint64_t kSuiteSeed = 0xC01D'CAFEull;
-
-// Plans don't expose operator==; compare the serialized placements.
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 BinProfile RandomProfile(std::mt19937_64& rng) {
   const DatasetKind dataset =
@@ -107,9 +92,9 @@ std::vector<CrowdsourcingTask> RandomBatch(std::mt19937_64& rng,
   return tasks;
 }
 
-// --- Solver layer: Algorithm 3's loop, AoS vs columnar ----------------------
+// --- Solver layer: Algorithm 3 is invariant under id relabeling ------------
 
-TEST(PlanPipelineDifferentialTest, OpqAssignmentColumnarMatchesAoS) {
+TEST(PlanPipelineDifferentialTest, OpqAssignmentIsInvariantUnderIdRelabeling) {
   std::mt19937_64 rng(kSuiteSeed);
   for (int trial = 0; trial < 40; ++trial) {
     const BinProfile profile = RandomProfile(rng);
@@ -123,25 +108,39 @@ TEST(PlanPipelineDifferentialTest, OpqAssignmentColumnarMatchesAoS) {
     const size_t n = 1 + rng() % 200;
     const TaskId base = static_cast<TaskId>(rng() % 10'000);
     std::vector<TaskId> ids;
+    std::vector<TaskId> dense;
     ids.reserve(n);
+    dense.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       ids.push_back(base + static_cast<TaskId>(3 * i));
+      dense.push_back(static_cast<TaskId>(i));
     }
 
-    DecompositionPlan aos;
-    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &aos).ok());
-    ColumnarPlan columnar;
-    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &columnar).ok());
-    ASSERT_EQ(PlanSignature(columnar), PlanSignature(aos))
+    DecompositionPlan global;
+    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &global).ok());
+    DecompositionPlan local;
+    ASSERT_TRUE(RunOpqAssignment(*queue, dense, profile, &local).ok());
+    // The same bins, with each dense id k replaced by ids[k].
+    DecompositionPlan relabeled;
+    for (size_t i = 0; i < local.num_placements(); ++i) {
+      const DecompositionPlan::PlacementView p = local.view(i);
+      std::vector<TaskId> members;
+      for (uint32_t k = 0; k < p.num_tasks; ++k) {
+        members.push_back(ids[p.tasks[k]]);
+      }
+      relabeled.Add(p.cardinality, p.copies, members);
+    }
+    ASSERT_EQ(PlanSignature(global), PlanSignature(relabeled))
         << "trial " << trial << " t=" << t << " n=" << n;
-    EXPECT_NEAR(columnar.TotalCost(profile), aos.TotalCost(profile), 1e-12);
-    EXPECT_EQ(columnar.TotalBinInstances(), aos.TotalBinInstances());
+    EXPECT_DOUBLE_EQ(global.TotalCost(profile), local.TotalCost(profile));
+    EXPECT_EQ(global.TotalBinInstances(), local.TotalBinInstances());
   }
 }
 
 // --- Engine layer: SolveBatch merge, across sharing and thread counts -------
 
-TEST(PlanPipelineDifferentialTest, BatchMergeMatchesAoSReferenceAcrossThreads) {
+TEST(PlanPipelineDifferentialTest,
+     BatchMergeMatchesSequentialReferenceAcrossThreads) {
   std::mt19937_64 rng(kSuiteSeed ^ 0x1);
   for (int trial = 0; trial < 12; ++trial) {
     const BinProfile profile = RandomProfile(rng);
@@ -169,8 +168,8 @@ TEST(PlanPipelineDifferentialTest, BatchMergeMatchesAoSReferenceAcrossThreads) {
               << "trial " << trial << " threads " << threads;
           EXPECT_DOUBLE_EQ(report->total_cost, reference_cost);
         }
-        // Every slice of the merged columnar plan validates against its
-        // requester's thresholds through the columnar validator.
+        // Every slice of the merged plan validates against its
+        // requester's thresholds.
         std::vector<RequesterSpan> spans;
         for (size_t k = 0; k < tasks.size(); ++k) {
           spans.push_back({"r" + std::to_string(k), k, 1});
@@ -186,8 +185,8 @@ TEST(PlanPipelineDifferentialTest, BatchMergeMatchesAoSReferenceAcrossThreads) {
         }
       }
       if (sharing == BatchSharing::kIsolated) {
-        // Isolated batches are pinned to the legacy AoS path: the per-task
-        // scalar solver merged with AppendPlan.
+        // Isolated batches are pinned to the per-task reference: the
+        // OPQ-Extended solver run on each task alone.
         auto sequential = SolveBatchSequential(tasks, profile);
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         EXPECT_EQ(reference_signature, PlanSignature(sequential->plan))
@@ -221,7 +220,7 @@ TEST(PlanPipelineDifferentialTest, StreamingSlicesMatchSequentialReference) {
       submissions.push_back(std::move(submission));
     }
 
-    // Per-submission AoS reference: the sequential scalar path.
+    // Per-submission reference: the sequential per-task path.
     std::vector<std::string> reference;
     for (const Submission& submission : submissions) {
       auto sequential = SolveBatchSequential(submission.tasks, profile);

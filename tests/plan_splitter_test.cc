@@ -11,25 +11,11 @@
 
 #include "engine/decomposition_engine.h"
 #include "engine/plan_splitter.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 
 namespace slade {
 namespace {
-
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 /// A merged "report" with two input tasks of 2 atomic tasks each and a
 /// hand-written plan: one placement per input task plus one 3-bin shared

@@ -25,6 +25,7 @@ TEST(PlanTest, ZeroCopiesIsIgnored) {
   DecompositionPlan plan;
   plan.Add(1, 0, {0});
   EXPECT_TRUE(plan.empty());
+  EXPECT_EQ(plan.num_task_ids(), 0u);
 }
 
 TEST(PlanTest, BinCountsIndexedByCardinality) {
@@ -50,12 +51,12 @@ TEST(PlanTest, PerTaskReliabilityMatchesEquation1) {
   EXPECT_DOUBLE_EQ(plan.PerTaskReliability(p, 5)[4], 0.0);  // unplaced
 }
 
-TEST(PlanTest, AppendMergesPlacements) {
+TEST(PlanTest, AppendColumnsMergesPlacements) {
   DecompositionPlan a, b;
   a.Add(1, 1, {0});
   b.Add(2, 3, {1, 2});
-  a.Append(std::move(b));
-  EXPECT_EQ(a.placements().size(), 2u);
+  a.AppendColumns(b);
+  EXPECT_EQ(a.num_placements(), 2u);
   EXPECT_EQ(a.TotalBinInstances(), 4u);
 }
 

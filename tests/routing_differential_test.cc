@@ -25,27 +25,13 @@
 #include "engine/plan_splitter.h"
 #include "engine/profile_registry.h"
 #include "engine/streaming_engine.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
 
 namespace slade {
 namespace {
-
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 struct Submission {
   std::string requester;
@@ -145,7 +131,7 @@ StreamingOptions PolicyOf(size_t index, uint32_t threads,
 
 struct StreamResult {
   /// Per-requester reassembled plan + summed cost, in admission order.
-  std::map<std::string, ColumnarPlan> plans;
+  std::map<std::string, DecompositionPlan> plans;
   std::map<std::string, double> costs;
   double billed = 0.0;
   /// Serving platform of every delivered slice, in submission order.

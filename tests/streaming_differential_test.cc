@@ -28,28 +28,13 @@
 #include "engine/decomposition_engine.h"
 #include "engine/plan_splitter.h"
 #include "engine/streaming_engine.h"
+#include "plan_signature.h"
 #include "solver/plan_validator.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
 
 namespace slade {
 namespace {
-
-// Plans don't expose operator==; compare the serialized placements.
-std::string PlanSignature(const DecompositionPlan& plan) {
-  std::string sig;
-  for (const BinPlacement& p : plan.placements()) {
-    sig += std::to_string(p.cardinality) + "x" + std::to_string(p.copies) +
-           ":";
-    for (TaskId id : p.tasks) sig += std::to_string(id) + ";";
-    sig += "|";
-  }
-  return sig;
-}
-
-std::string PlanSignature(const ColumnarPlan& plan) {
-  return PlanSignature(plan.ToPlan());
-}
 
 struct Submission {
   std::string requester;
@@ -152,7 +137,7 @@ StreamingOptions PolicyOf(size_t index, uint32_t threads,
 
 struct RequesterReference {
   std::vector<CrowdsourcingTask> tasks;  // admission order
-  ColumnarPlan plan;
+  DecompositionPlan plan;
   double cost = 0.0;
 };
 

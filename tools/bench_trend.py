@@ -21,6 +21,12 @@ is better. Both read +100% for "twice as bad" and +200% for "three times
 as bad", and a throughput collapse to zero scores infinite -- a plain
 relative drop could never exceed 100% and so never trip the gate.
 
+A gated (non-neutral) baseline field that a produced BENCH_*.json no
+longer carries -- the field itself, or its whole record -- is reported as
+MISSING and scored as an infinite regression, so a bench that silently
+stops emitting a metric cannot pass the gate. A baseline file the run did
+not produce at all is skipped.
+
 Usage:
   tools/bench_trend.py [--fresh DIR] [--baseline DIR]
                        [--threshold PCT] [--strict] [--max-regress-pct PCT]
@@ -125,18 +131,27 @@ def main():
         for key, group in base_groups.items():
             for position, base in enumerate(group):
                 fresh_group = fresh_groups.get(key, [])
-                if position >= len(fresh_group):
-                    continue  # configuration no longer produced
+                # A record no longer produced pairs with an empty one, so
+                # each of its gated fields reads MISSING below.
+                fresh = (fresh_group[position]
+                         if position < len(fresh_group) else {})
                 label = " ".join(v for _, v in key) or "(default)"
                 if len(group) > 1:
                     label += f" #{position}"
-                pairs.append((label, base, fresh_group[position]))
+                pairs.append((label, base, fresh))
         for config, base, fresh in pairs:
             for field, base_value in sorted(base.items()):
                 if not isinstance(base_value, (int, float)):
                     continue
                 fresh_value = fresh.get(field)
                 if not isinstance(fresh_value, (int, float)):
+                    if classify(field) != "neutral":
+                        regressions += 1
+                        if args.max_regress_pct is not None:
+                            blocking.append((bench, config, field, math.inf))
+                        rows.append([bench, config, field,
+                                     f"{base_value:.6g}", "-", "-",
+                                     "MISSING"])
                     continue
                 if base_value == 0 and fresh_value == 0:
                     continue

@@ -604,7 +604,7 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
               validation->feasible ? "yes" : "NO",
               validation->worst_log_margin);
   if (auto out = flags.find("out"); out != flags.end()) {
-    Status st = SavePlanCsv(report->plan.ToPlan(), out->second);
+    Status st = SavePlanCsv(report->plan, out->second);
     if (!st.ok()) return Fail(st.ToString());
     std::printf("merged plan written to %s (global atomic-task ids)\n",
                 out->second.c_str());
