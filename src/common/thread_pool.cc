@@ -64,7 +64,7 @@ size_t ThreadPool::DefaultThreads() {
 
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
+  if (pool == nullptr || pool->num_threads() <= 1 || count <= 1) {
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }

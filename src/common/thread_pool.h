@@ -1,7 +1,8 @@
 // Copyright (c) the SLADE reproduction authors.
-// A small fixed-size thread pool. Used by the baseline solver to run
-// independent chunk CIPs in parallel (each chunk is a self-contained
-// LP + rounding problem; see baseline_solver.h).
+// A small fixed-size thread pool. DecompositionEngine runs a batch's shard
+// routing and Algorithm 3 assignments on its own pool, PlanSplitter fans a
+// large split out over a process-wide one, and the baseline solver runs
+// independent chunk CIPs (see baseline_solver.h) on one.
 
 #ifndef SLADE_COMMON_THREAD_POOL_H_
 #define SLADE_COMMON_THREAD_POOL_H_
@@ -55,8 +56,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// \brief Runs `fn(i)` for i in [0, count) across `pool` (or inline when
-/// `pool` is null), blocking until all complete.
+/// \brief Runs `fn(i)` for i in [0, count) across `pool`, blocking until all
+/// complete. Runs inline on the calling thread when `pool` is null or has
+/// one worker, or when there is at most one job (no pool round trip).
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& fn);
 

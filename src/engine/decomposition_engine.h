@@ -12,7 +12,17 @@
 // task) means:
 //   * one OPQ build per threshold group for the entire batch, served
 //     through OpqCache so repeated batches never re-run Algorithm 2;
-//   * shards are independent, so they run in parallel on common/ThreadPool;
+//   * shards are independent, so they run in parallel on common/ThreadPool.
+//     A shard too large for one job (2 x 65,536 ids or more) is cut at
+//     multiples of L, the LCM of its Algorithm 3 front element, and its
+//     parts run in parallel too: every part but the last holds whole
+//     L-blocks, the last at least one block plus the remainder, so each part
+//     starts with the same front element and the last reaches the leftover
+//     tasks with it as `prev` -- the parts' placements, in order, are the
+//     whole shard's (see RunOpqAssignment). The cut is a constant, so plans
+//     and stats never depend on the thread count;
+//   * routing the atomic tasks to shards (Algorithm 5 lines 5-7) counts and
+//     then scatters, over chunks of input tasks on the same pool;
 //   * leftover-padding waste (Algorithm 3 lines 8-10) is paid once per
 //     shard, not once per input task.
 
@@ -57,7 +67,8 @@ const char* BatchSharingName(BatchSharing sharing);
 
 /// \brief Tuning knobs for the batch engine.
 struct EngineOptions {
-  /// Worker threads for per-shard solves; 0 = ThreadPool::DefaultThreads().
+  /// Worker threads for routing and per-shard (or per-part) solves;
+  /// 0 = ThreadPool::DefaultThreads().
   /// The merged plan is identical regardless of thread count: shards are
   /// formed deterministically and merged in group order.
   uint32_t num_threads = 0;
@@ -87,9 +98,13 @@ struct ShardStats {
   double theta_upper = 0.0;
   double surrogate_threshold = 0.0;
   size_t num_atomic_tasks = 0;
+  /// Summed in placement order across the shard's parts, so it is the same
+  /// double whether or not the shard was cut.
   double cost = 0.0;
   uint64_t bins_posted = 0;
-  /// Wall time of this shard's queue lookup + assignment.
+  /// Time spent on this shard's queue lookup + assignment: one job's wall
+  /// time, or for a shard assigned in parts, the lookup's plus the sum of
+  /// the parts' (CPU seconds across workers, not the elapsed span).
   double seconds = 0.0;
   /// True iff the shard's queue came out of the OpqCache without a build.
   bool opq_cache_hit = false;

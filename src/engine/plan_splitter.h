@@ -17,6 +17,13 @@
 // still post the full bin to keep their reliability), so the sum of slice
 // costs can exceed the batch cost -- the difference is the sharing discount
 // the platform pockets.
+//
+// A large plan is split in blocks of requesters, one per 65,536 task ids
+// up to one per worker of a process-wide pool of
+// ThreadPool::DefaultThreads() workers; a plan under 131,072 ids runs the
+// same passes as one block on the calling thread. Each slice is sized
+// exactly and filled in placement order, so the slices are the same
+// whichever way it runs.
 
 #ifndef SLADE_ENGINE_PLAN_SPLITTER_H_
 #define SLADE_ENGINE_PLAN_SPLITTER_H_

@@ -40,23 +40,22 @@ Result<Combination> Combination::Create(Parts parts,
   return Combination(std::move(parts), lcm, unit_cost, log_weight);
 }
 
-double Combination::ExpandInto(const std::vector<TaskId>& ids, size_t offset,
-                               size_t count, const BinProfile& profile,
+double Combination::ExpandInto(const TaskId* ids, size_t count,
+                               const BinProfile& profile,
                                DecompositionPlan* plan) const {
   double cost = 0.0;
   for (const auto& [cardinality, copies] : parts_) {
     const size_t k = cardinality;
     for (size_t group = 0; group < count; group += k) {
       const size_t group_size = std::min(k, count - group);
-      plan->Add(cardinality, copies, ids.data() + offset + group, group_size);
+      plan->Add(cardinality, copies, ids + group, group_size);
       cost += static_cast<double>(copies) * profile.bin(cardinality).cost;
     }
   }
   return cost;
 }
 
-double Combination::ExpandBlocksInto(const std::vector<TaskId>& ids,
-                                     size_t offset, uint64_t blocks,
+double Combination::ExpandBlocksInto(const TaskId* ids, uint64_t blocks,
                                      const BinProfile& profile,
                                      DecompositionPlan* plan) const {
   if (blocks == 0) return 0.0;
@@ -93,10 +92,9 @@ double Combination::ExpandBlocksInto(const std::vector<TaskId>& ids,
       plan->num_task_ids() +
           static_cast<size_t>(blocks) * parts_.size() * lcm);
   for (uint64_t block = 0; block < blocks; ++block) {
-    const size_t base = offset + static_cast<size_t>(block) * lcm;
+    const TaskId* base = ids + static_cast<size_t>(block) * lcm;
     for (const TemplateGroup& g : groups) {
-      plan->Add(g.cardinality, g.copies, ids.data() + base + g.begin,
-                g.cardinality);
+      plan->Add(g.cardinality, g.copies, base + g.begin, g.cardinality);
     }
   }
   return static_cast<double>(blocks) * block_cost;

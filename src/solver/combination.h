@@ -48,9 +48,10 @@ class Combination {
     return unit_cost_ * static_cast<double>(lcm_);
   }
 
-  /// \brief Emits the bins that route `ids` through this combination.
+  /// \brief Emits the bins that route the `count` ids at `ids` through
+  /// this combination.
   ///
-  /// When `ids.size() == lcm()` this is the perfect tiling of Figure 5:
+  /// When `count == lcm()` this is the perfect tiling of Figure 5:
   /// for each part (k, n_k), the ids are split into lcm/k consecutive
   /// groups of k, and each group is posted n_k times. When fewer ids are
   /// given (the Algorithm 3 padding path), the last group of each
@@ -60,13 +61,12 @@ class Combination {
   /// Returns the actual incentive cost of the emitted bins (equal to
   /// block_cost() for a full block, less for a padded one). Each group is
   /// stamped straight into the plan's flat columns (one memcpy per group).
-  double ExpandInto(const std::vector<TaskId>& ids, size_t offset,
-                    size_t count, const BinProfile& profile,
-                    DecompositionPlan* plan) const;
+  double ExpandInto(const TaskId* ids, size_t count,
+                    const BinProfile& profile, DecompositionPlan* plan) const;
 
   /// \brief Emits `blocks` consecutive perfect blocks of `lcm()` tasks
-  /// each, starting at `ids[offset]` -- the Algorithm 3 lines 12-15 bulk
-  /// path. Equivalent to calling `ExpandInto(ids, offset + b * lcm(),
+  /// each from the `blocks * lcm()` ids at `ids` -- the Algorithm 3 lines
+  /// 12-15 bulk path. Equivalent to calling `ExpandInto(ids + b * lcm(),
   /// lcm(), ...)` for b = 0..blocks-1 (placements appended in the same
   /// order), but materializes the block's placement template (one
   /// (cardinality, copies, begin) group list) once, reserves every plan
@@ -76,8 +76,8 @@ class Combination {
   ///
   /// Returns the total incentive cost of the emitted bins
   /// (`blocks * block_cost()` up to rounding of the per-bin sum).
-  double ExpandBlocksInto(const std::vector<TaskId>& ids, size_t offset,
-                          uint64_t blocks, const BinProfile& profile,
+  double ExpandBlocksInto(const TaskId* ids, uint64_t blocks,
+                          const BinProfile& profile,
                           DecompositionPlan* plan) const;
 
   /// "{3 x b1, 2 x b2, 1 x b3} LCM=6 UC=0.56".

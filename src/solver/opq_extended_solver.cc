@@ -28,8 +28,8 @@ Result<DecompositionPlan> OpqExtendedSolver::Solve(
   DecompositionPlan plan;
   for (size_t g = 0; g < set.size(); ++g) {
     if (groups[g].empty()) continue;
-    SLADE_RETURN_NOT_OK(
-        RunOpqAssignment(set.queue(g), groups[g], profile, &plan));
+    SLADE_RETURN_NOT_OK(RunOpqAssignment(set.queue(g), groups[g].data(),
+                                         groups[g].size(), profile, &plan));
   }
   return plan;
 }

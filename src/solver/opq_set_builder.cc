@@ -9,13 +9,13 @@ namespace slade {
 
 Result<size_t> GroupIndexOf(const std::vector<double>& uppers,
                             double theta) {
-  auto it = std::lower_bound(uppers.begin(), uppers.end(), theta - kRelEps);
-  if (it == uppers.end()) {
+  const size_t g = GroupIndexOrEnd(uppers.data(), uppers.size(), theta);
+  if (g == uppers.size()) {
     return Status::OutOfRange("theta " + std::to_string(theta) +
                               " above the largest interval bound " +
                               std::to_string(uppers.back()));
   }
-  return static_cast<size_t>(it - uppers.begin());
+  return g;
 }
 
 Result<size_t> OpqSet::GroupOf(double theta) const {

@@ -6,13 +6,21 @@
 
 namespace slade {
 
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, DecompositionPlan* plan) {
+const Combination* OpqFrontElement(const OptimalPriorityQueue& queue,
+                                   uint64_t n) {
+  for (const Combination& e : queue.elements()) {
+    if (e.lcm() <= n) return &e;
+  }
+  return nullptr;
+}
+
+Status RunOpqAssignment(const OptimalPriorityQueue& queue, const TaskId* ids,
+                        size_t count, const BinProfile& profile,
+                        DecompositionPlan* plan) {
   if (queue.size() == 0) {
     return Status::Internal("empty optimal priority queue");
   }
-  uint64_t n = ids.size();
+  uint64_t n = count;
   size_t pos = 0;   // next unassigned index into `ids`
   size_t qi = 0;    // current front of the queue (elements sorted LCM desc)
   const Combination* prev = nullptr;
@@ -34,13 +42,13 @@ Status RunOpqAssignment(const OptimalPriorityQueue& queue,
       // Lines 8-10: finishing with the current (smaller-LCM) combination
       // would cost more than padding one more block of the previous one.
       const size_t take = static_cast<size_t>(n);  // n < prev->lcm() here
-      prev->ExpandInto(ids, pos, take, profile, plan);
+      prev->ExpandInto(ids + pos, take, profile, plan);
       pos += take;
       n = 0;
     } else {
       // Lines 12-15: k perfect blocks of the front combination, stamped
       // from one materialized placement template (see ExpandBlocksInto).
-      e.ExpandBlocksInto(ids, pos, k, profile, plan);
+      e.ExpandBlocksInto(ids + pos, k, profile, plan);
       pos += static_cast<size_t>(k * e.lcm());
       n %= e.lcm();
       prev = &e;
@@ -66,7 +74,8 @@ Result<DecompositionPlan> OpqSolver::Solve(const CrowdsourcingTask& task,
   std::vector<TaskId> ids(task.size());
   std::iota(ids.begin(), ids.end(), 0);
   DecompositionPlan plan;
-  SLADE_RETURN_NOT_OK(RunOpqAssignment(queue, ids, profile, &plan));
+  SLADE_RETURN_NOT_OK(
+      RunOpqAssignment(queue, ids.data(), ids.size(), profile, &plan));
   return plan;
 }
 

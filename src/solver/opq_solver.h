@@ -9,8 +9,8 @@
 
 namespace slade {
 
-/// \brief Assigns the atomic tasks in `ids` using `queue` (Algorithm 3's
-/// main loop), appending the posted bins to `plan`.
+/// \brief Assigns the `count` atomic tasks at `ids` using `queue`
+/// (Algorithm 3's main loop), appending the posted bins to `plan`.
 ///
 /// Shared between OpqSolver (over all tasks) and OpqExtendedSolver (over
 /// each threshold group). Faithful to the paper's pseudocode including the
@@ -24,9 +24,24 @@ namespace slade {
 /// actually needed for the leftover tasks, which is never more expensive.
 /// The returned plan's cost is therefore exactly `sum tau_l * c_l`
 /// (Definition 3) for the bins it contains.
-Status RunOpqAssignment(const OptimalPriorityQueue& queue,
-                        const std::vector<TaskId>& ids,
-                        const BinProfile& profile, DecompositionPlan* plan);
+///
+/// Cutting a range: let L be the LCM of OpqFrontElement(queue, count). Cut
+/// the ids at multiples of L so that every part but the last holds whole
+/// L-blocks and the last holds at least one block plus the remainder. Then
+/// running this function on the parts in order appends exactly the
+/// placements of one run over the whole range: each part starts with the
+/// same front element and stamps whole blocks, and the last part reaches
+/// the leftover tasks with that element as `prev`, as the whole run does.
+/// DecompositionEngine assigns a large shard's parts in parallel this way.
+Status RunOpqAssignment(const OptimalPriorityQueue& queue, const TaskId* ids,
+                        size_t count, const BinProfile& profile,
+                        DecompositionPlan* plan);
+
+/// \brief Algorithm 3's front element for `n` atomic tasks (lines 4-5): the
+/// first queue element, in the queue's LCM-descending order, whose LCM is
+/// at most `n`. Null when no element fits (n == 0).
+const Combination* OpqFrontElement(const OptimalPriorityQueue& queue,
+                                   uint64_t n);
 
 /// \brief OPQ-Based approximation solver for the homogeneous SLADE problem
 /// (Algorithm 3): log(n)-approximate (Theorem 2), and exactly optimal when

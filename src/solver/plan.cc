@@ -87,13 +87,14 @@ void DecompositionPlan::Clear() {
   arena_->Reset();
 }
 
-double DecompositionPlan::TotalCost(const BinProfile& profile) const {
+double DecompositionPlan::TotalCost(const BinProfile& profile,
+                                    double carried) const {
   // Per-cardinality cost table: the sweep reads two dense u32 columns and
   // one small table instead of chasing per-placement bin structs.
   const std::vector<TaskBin>& bins = profile.bins();
   std::vector<double> cost_of(bins.size() + 1, 0.0);
   for (const TaskBin& bin : bins) cost_of[bin.cardinality] = bin.cost;
-  double cost = 0.0;
+  double cost = carried;
   const size_t n = num_placements();
   for (size_t i = 0; i < n; ++i) {
     if (cardinality_[i] < cost_of.size()) {

@@ -128,8 +128,11 @@ class DecompositionPlan {
   // --- flat accounting passes (single sweeps over the columns, bin
   // --- lookups through per-cardinality tables) ---
 
-  /// Total incentive cost `sum tau_l * c_l` under `profile`.
-  double TotalCost(const BinProfile& profile) const;
+  /// Total incentive cost `sum tau_l * c_l` under `profile`, summed in
+  /// placement order onto `carried`. A plan cut into parts totals
+  /// bit-identically to the whole when each part carries the running sum
+  /// of the parts before it (the batch engine's large-shard stats).
+  double TotalCost(const BinProfile& profile, double carried = 0.0) const;
 
   /// Bin-usage counts tau_l indexed by cardinality (index 0 unused).
   std::vector<uint64_t> BinCounts(uint32_t max_cardinality) const;

@@ -65,6 +65,13 @@ class PlanArena {
   /// Never fails short of std::bad_alloc.
   void* Allocate(size_t bytes, size_t alignment);
 
+  /// Uninitialized storage for `n` trivially copyable `T` (the batch
+  /// engine's routing scratch and the splitter's per-id tables).
+  template <typename T>
+  T* AllocateArray(size_t n) {
+    return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
+  }
+
   /// Rewinds every chunk for reuse. Existing allocations become invalid;
   /// memory and governor charges are retained, so the next fill of the
   /// same shape allocates nothing.

@@ -43,7 +43,7 @@ TEST(CombinationTest, ExpandFullBlockMatchesFigure5) {
   auto comb = Combination::Create({{1, 3}, {2, 2}, {3, 1}}, profile);
   std::vector<TaskId> ids = {0, 1, 2, 3, 4, 5};
   DecompositionPlan plan;
-  const double cost = comb->ExpandInto(ids, 0, 6, profile, &plan);
+  const double cost = comb->ExpandInto(ids.data(), 6, profile, &plan);
   EXPECT_NEAR(cost, comb->block_cost(), 1e-12);
 
   auto counts = plan.BinCounts(3);
@@ -70,7 +70,7 @@ TEST(CombinationTest, ExpandPartialBlockStillCoversEveryTask) {
   ASSERT_EQ(comb->lcm(), 6u);
   std::vector<TaskId> ids = {10, 11, 12, 13};
   DecompositionPlan plan;
-  const double cost = comb->ExpandInto(ids, 0, 4, profile, &plan);
+  const double cost = comb->ExpandInto(ids.data(), 4, profile, &plan);
   EXPECT_LT(cost, comb->block_cost());  // padded block is cheaper
 
   auto rel = plan.PerTaskReliability(profile, 14);
@@ -85,7 +85,7 @@ TEST(CombinationTest, ExpandRespectsOffset) {
   auto comb = Combination::Create({{1, 1}}, profile);
   std::vector<TaskId> ids = {5, 6, 7, 8};
   DecompositionPlan plan;
-  comb->ExpandInto(ids, 2, 2, profile, &plan);
+  comb->ExpandInto(ids.data() + 2, 2, profile, &plan);
   EXPECT_EQ(PlanSignature(plan), "1x1:7;|1x1:8;|");
 }
 
@@ -103,11 +103,11 @@ TEST(CombinationTest, ExpandBlocksMatchesRepeatedExpand) {
   DecompositionPlan bulk, looped;
   const size_t offset = 3;  // stamping must respect the starting offset
   const double bulk_cost =
-      comb->ExpandBlocksInto(ids, offset, blocks, profile, &bulk);
+      comb->ExpandBlocksInto(ids.data() + offset, blocks, profile, &bulk);
   double looped_cost = 0.0;
   for (uint64_t b = 0; b < blocks; ++b) {
     looped_cost +=
-        comb->ExpandInto(ids, offset + b * lcm, lcm, profile, &looped);
+        comb->ExpandInto(ids.data() + offset + b * lcm, lcm, profile, &looped);
   }
   EXPECT_NEAR(bulk_cost, looped_cost, 1e-9);
   EXPECT_NEAR(bulk_cost, static_cast<double>(blocks) * comb->block_cost(),
@@ -120,7 +120,7 @@ TEST(CombinationTest, ExpandZeroBlocksIsANoop) {
   auto comb = Combination::Create({{2, 1}}, profile);
   std::vector<TaskId> ids = {0, 1};
   DecompositionPlan plan;
-  EXPECT_EQ(comb->ExpandBlocksInto(ids, 0, 0, profile, &plan), 0.0);
+  EXPECT_EQ(comb->ExpandBlocksInto(ids.data(), 0, profile, &plan), 0.0);
   EXPECT_TRUE(plan.empty());
 }
 

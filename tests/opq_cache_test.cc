@@ -57,10 +57,12 @@ TEST(OpqCacheTest, CachedQueueProducesSamePlanAsFreshBuild) {
 
   std::vector<TaskId> ids(1234);
   std::iota(ids.begin(), ids.end(), 0);
+  const TaskId* first = ids.data();
+  const size_t n = ids.size();
   DecompositionPlan from_cache, from_fresh;
   ASSERT_TRUE(
-      RunOpqAssignment(*cached->queue, ids, profile, &from_cache).ok());
-  ASSERT_TRUE(RunOpqAssignment(*fresh, ids, profile, &from_fresh).ok());
+      RunOpqAssignment(*cached->queue, first, n, profile, &from_cache).ok());
+  ASSERT_TRUE(RunOpqAssignment(*fresh, first, n, profile, &from_fresh).ok());
   EXPECT_DOUBLE_EQ(from_cache.TotalCost(profile),
                    from_fresh.TotalCost(profile));
   EXPECT_EQ(from_cache.TotalBinInstances(), from_fresh.TotalBinInstances());
@@ -292,7 +294,8 @@ TEST(OpqCacheTest, EvictedQueueStaysValidForHolderAndRebuildsForRacers) {
   std::vector<TaskId> ids(100);
   std::iota(ids.begin(), ids.end(), 0);
   DecompositionPlan plan;
-  ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &plan).ok());
+  ASSERT_TRUE(
+      RunOpqAssignment(*queue, ids.data(), ids.size(), profile, &plan).ok());
   EXPECT_GT(plan.TotalBinInstances(), 0u);
 
   // A racer re-requesting the evicted key rebuilds a fresh, equal entry.

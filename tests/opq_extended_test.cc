@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "binmodel/profile_model.h"
 #include "common/random.h"
 #include "solver/opq_set_builder.h"
@@ -42,6 +46,39 @@ TEST(OpqSetBuilderTest, GroupAssignment) {
   EXPECT_EQ(*set->GroupOf(LogReduction(0.7)), 1u);
   EXPECT_EQ(*set->GroupOf(LogReduction(0.86)), 1u);
   EXPECT_TRUE(set->GroupOf(10.0).status().IsOutOfRange());
+}
+
+TEST(OpqSetBuilderTest, GroupIndexOrEndIsLowerBound) {
+  // The branch-free lookup core returns std::lower_bound's index for every
+  // bound count, including thetas at, just inside and just beyond a bound
+  // (the kRelEps tolerance) and past the last one.
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (size_t count = 1; count <= 33; ++count) {
+    std::vector<double> uppers(count);
+    for (double& u : uppers) u = 0.01 + 10.0 * unit(rng);
+    std::sort(uppers.begin(), uppers.end());
+    std::vector<double> thetas = {0.0, uppers.back() + 1.0};
+    for (double u : uppers) {
+      for (double d : {-2 * kRelEps, -kRelEps / 2, 0.0, kRelEps / 2,
+                       2 * kRelEps}) {
+        thetas.push_back(u + d);
+      }
+    }
+    for (int i = 0; i < 200; ++i) thetas.push_back(11.0 * unit(rng));
+    for (double theta : thetas) {
+      const size_t expected = static_cast<size_t>(
+          std::lower_bound(uppers.begin(), uppers.end(), theta - kRelEps) -
+          uppers.begin());
+      ASSERT_EQ(GroupIndexOrEnd(uppers.data(), count, theta), expected)
+          << "count " << count << " theta " << theta;
+      auto group = GroupIndexOf(uppers, theta);
+      ASSERT_EQ(group.ok(), expected < count);
+      if (group.ok()) {
+        EXPECT_EQ(*group, expected);
+      }
+    }
+  }
 }
 
 TEST(OpqSetBuilderTest, ExactPowerOfTwoThetaHandled) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
+#include <vector>
 
 #include "binmodel/profile_model.h"
+#include "plan_signature.h"
 #include "solver/exact_solver.h"
 #include "solver/plan_validator.h"
 
@@ -129,6 +132,68 @@ TEST(OpqSolverTest, PaddingPathProducesFeasiblePlans) {
     ASSERT_TRUE(plan.ok());
     EXPECT_TRUE(ValidatePlan(*plan, *task, profile)->feasible) << n;
   }
+}
+
+TEST(OpqSolverTest, LcmAlignedCutsConcatenateToTheWholeRange) {
+  // Cut the ids at multiples of L, the front element's LCM, every part but
+  // the last holding whole L-blocks and the last at least one block plus
+  // the remainder: Algorithm 3 over the parts, in order, must append the
+  // whole range's placements, and a cost carried across the parts must be
+  // the whole plan's to the bit.
+  std::mt19937_64 rng(0x5EED'C075ull);
+  int cut_sets = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const DatasetKind dataset =
+        rng() % 2 == 0 ? DatasetKind::kJelly : DatasetKind::kSmic;
+    const uint32_t m = 2 + static_cast<uint32_t>(rng() % 11);
+    const BinProfile profile = BuildProfile(MakeModel(dataset), m).ValueOrDie();
+    const double t = 0.6 + 0.38 * static_cast<double>(rng() % 1000) / 1000.0;
+    auto queue = BuildOpq(profile, t);
+    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+
+    const size_t n = 1 + rng() % 400;
+    std::vector<TaskId> ids(n);
+    std::iota(ids.begin(), ids.end(), static_cast<TaskId>(rng() % 1000));
+    DecompositionPlan whole;
+    ASSERT_TRUE(RunOpqAssignment(*queue, ids.data(), n, profile, &whole).ok());
+    const std::string expected = PlanSignature(whole);
+
+    const Combination* front = OpqFrontElement(*queue, n);
+    ASSERT_NE(front, nullptr);
+    const size_t lcm = static_cast<size_t>(front->lcm());
+    const size_t blocks = n / lcm;
+    ASSERT_GE(blocks, 1u);
+    // Each of the blocks - 1 boundaries between blocks may be a cut: every
+    // subset when there are few, else a random sample of subsets.
+    const size_t boundaries = blocks - 1;
+    const bool every = boundaries <= 10;
+    const size_t sets = every ? size_t{1} << boundaries : 300;
+    for (size_t set = 0; set < sets; ++set) {
+      std::vector<size_t> cuts = {0};
+      for (size_t j = 1; j <= boundaries; ++j) {
+        const bool cut = every ? ((set >> (j - 1)) & 1) != 0 : rng() % 2 == 0;
+        if (cut) cuts.push_back(j * lcm);
+      }
+      cuts.push_back(n);
+      DecompositionPlan parts;
+      double cost = 0.0;
+      for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+        const TaskId* part_ids = ids.data() + cuts[c];
+        const size_t len = cuts[c + 1] - cuts[c];
+        DecompositionPlan part;
+        ASSERT_TRUE(
+            RunOpqAssignment(*queue, part_ids, len, profile, &part).ok());
+        cost = part.TotalCost(profile, cost);
+        parts.AppendColumns(part);
+      }
+      ASSERT_EQ(PlanSignature(parts), expected)
+          << "trial " << trial << " n=" << n << " L=" << lcm << " set "
+          << set;
+      EXPECT_EQ(cost, whole.TotalCost(profile));
+      ++cut_sets;
+    }
+  }
+  EXPECT_GT(cut_sets, 1000);
 }
 
 }  // namespace

@@ -7,13 +7,17 @@
 // across pooled/isolated sharing, fairness on/off, 1/4/8 worker threads,
 // and OPQ-cache pressure.
 //
-// The reference is SolveBatchSequential, which runs the paper's
-// OPQ-Extended solver (Algorithm 5) per crowdsourcing task and merges the
-// per-task plans; at the solver layer, Algorithm 3 itself must be
-// invariant under relabeling the ids it assigns.
+// The references are the paper's OPQ-Extended solver (Algorithm 5): run
+// per crowdsourcing task and merged (SolveBatchSequential) for isolated
+// sharing, and run on the concatenated batch for pooled sharing, whose
+// batch-wide Algorithm 4 partition is the concatenated task's own. At the
+// solver layer, Algorithm 3 itself must be invariant under relabeling the
+// ids it assigns.
 
+#include <algorithm>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "engine/plan_splitter.h"
 #include "engine/streaming_engine.h"
 #include "plan_signature.h"
+#include "solver/opq_extended_solver.h"
 #include "solver/opq_solver.h"
 #include "solver/plan.h"
 #include "solver/plan_validator.h"
@@ -117,9 +122,10 @@ TEST(PlanPipelineDifferentialTest, OpqAssignmentIsInvariantUnderIdRelabeling) {
     }
 
     DecompositionPlan global;
-    ASSERT_TRUE(RunOpqAssignment(*queue, ids, profile, &global).ok());
+    ASSERT_TRUE(RunOpqAssignment(*queue, ids.data(), n, profile, &global).ok());
     DecompositionPlan local;
-    ASSERT_TRUE(RunOpqAssignment(*queue, dense, profile, &local).ok());
+    ASSERT_TRUE(
+        RunOpqAssignment(*queue, dense.data(), n, profile, &local).ok());
     // The same bins, with each dense id k replaced by ids[k].
     DecompositionPlan relabeled;
     for (size_t i = 0; i < local.num_placements(); ++i) {
@@ -191,8 +197,171 @@ TEST(PlanPipelineDifferentialTest,
         ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
         EXPECT_EQ(reference_signature, PlanSignature(sequential->plan))
             << "trial " << trial;
+      } else {
+        // Pooled batches are pinned to OPQ-Extended on the concatenated
+        // task: the batch-wide partition is that task's own.
+        auto merged = ConcatenateTasks(tasks);
+        ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+        auto whole = OpqExtendedSolver().Solve(*merged, profile);
+        ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+        EXPECT_EQ(reference_signature, PlanSignature(*whole))
+            << "trial " << trial;
       }
     }
+  }
+}
+
+// --- Engine + splitter at scale: every size constant crossed --------------
+
+/// The reference cut: placement by placement, id by id, each id goes to
+/// the slice of the span owning it, renumbered from that span's first
+/// atomic task.
+std::vector<DecompositionPlan> NaiveSplit(
+    const BatchReport& report, const std::vector<RequesterSpan>& spans) {
+  std::vector<size_t> owner(report.num_atomic_tasks(), 0);
+  std::vector<size_t> first_id(spans.size(), 0);
+  for (size_t s = 0; s < spans.size(); ++s) {
+    const size_t begin = report.task_offsets[spans[s].first_task];
+    const size_t end =
+        report.task_offsets[spans[s].first_task + spans[s].num_tasks];
+    first_id[s] = begin;
+    for (size_t id = begin; id < end; ++id) owner[id] = s;
+  }
+  std::vector<DecompositionPlan> slices(spans.size());
+  for (size_t i = 0; i < report.plan.num_placements(); ++i) {
+    const DecompositionPlan::PlacementView p = report.plan.view(i);
+    std::map<size_t, std::vector<TaskId>> members;
+    for (uint32_t k = 0; k < p.num_tasks; ++k) {
+      const size_t o = owner[p.tasks[k]];
+      members[o].push_back(static_cast<TaskId>(p.tasks[k] - first_id[o]));
+    }
+    for (const auto& [o, ids] : members) {
+      slices[o].Add(p.cardinality, p.copies, ids);
+    }
+  }
+  return slices;
+}
+
+TEST(PlanPipelineDifferentialTest,
+     LargePooledBatchMatchesReferencesAcrossThreads) {
+  // 360 tasks x 1,000 atomic tasks with N(0.9, 0.03) thresholds: the
+  // dominant threshold group holds over 300k ids, so the batch routes in
+  // several chunks, its large shard is assigned in at least 4 LCM-aligned
+  // parts beside small single-job shards, and the split fans out.
+  ThresholdSpec spec;
+  spec.family = ThresholdFamily::kNormal;
+  auto batch = MakeBatchWorkload(DatasetKind::kJelly, 360, 1000, spec, 10,
+                                 kSuiteSeed);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const BinProfile& profile = batch->profile;
+  const std::vector<CrowdsourcingTask>& tasks = batch->tasks;
+
+  auto merged = ConcatenateTasks(tasks);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  auto whole = OpqExtendedSolver().Solve(*merged, profile);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  const std::string reference = PlanSignature(*whole);
+
+  // Requesters of 3 tasks, with an empty requester in the middle and one
+  // at the end.
+  std::vector<RequesterSpan> spans;
+  for (size_t k = 0; k < tasks.size(); k += 3) {
+    spans.push_back({"r" + std::to_string(k), k, 3});
+    if (k == 180) spans.push_back({"empty-mid", k + 3, 0});
+  }
+  spans.push_back({"empty-end", tasks.size(), 0});
+
+  std::vector<std::string> naive;
+  std::vector<double> naive_cost;
+  std::vector<ShardStats> reference_shards;
+  double reference_total = 0.0;
+  for (uint32_t threads : {1u, 4u, 8u}) {
+    EngineOptions options;
+    options.sharing = BatchSharing::kPooled;
+    options.num_threads = threads;
+    DecompositionEngine engine(options);
+    auto report = engine.SolveBatch(tasks, profile);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(PlanSignature(report->plan), reference) << "threads " << threads;
+
+    size_t largest = 0;
+    for (const ShardStats& s : report->shards) {
+      largest = std::max(largest, s.num_atomic_tasks);
+    }
+    ASSERT_GE(largest, 300'000u);
+    ASSERT_GT(report->shards.size(), 1u);
+    if (reference_shards.empty()) {
+      reference_shards = report->shards;
+      reference_total = report->total_cost;
+    } else {
+      // Exact equality: the cut is a constant, never the thread count.
+      EXPECT_EQ(report->total_cost, reference_total) << "threads " << threads;
+      ASSERT_EQ(report->shards.size(), reference_shards.size());
+      for (size_t i = 0; i < reference_shards.size(); ++i) {
+        const ShardStats& a = report->shards[i];
+        const ShardStats& b = reference_shards[i];
+        EXPECT_EQ(a.group, b.group);
+        EXPECT_EQ(a.num_atomic_tasks, b.num_atomic_tasks);
+        EXPECT_EQ(a.cost, b.cost) << "shard " << i << " threads " << threads;
+        EXPECT_EQ(a.bins_posted, b.bins_posted);
+        EXPECT_EQ(a.surrogate_threshold, b.surrogate_threshold);
+      }
+    }
+
+    if (naive.empty()) {
+      // More slice placements than merged ones: some bins mix requesters.
+      size_t slice_placements = 0;
+      for (const DecompositionPlan& slice : NaiveSplit(*report, spans)) {
+        naive.push_back(PlanSignature(slice));
+        naive_cost.push_back(slice.TotalCost(profile));
+        slice_placements += slice.num_placements();
+      }
+      ASSERT_GT(slice_placements, report->plan.num_placements());
+    }
+    auto slices = PlanSplitter::SplitBySpans(*report, profile, spans);
+    ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+    ASSERT_EQ(slices->size(), spans.size());
+    for (size_t s = 0; s < spans.size(); ++s) {
+      const RequesterPlan& slice = (*slices)[s];
+      EXPECT_EQ(slice.requester_id, spans[s].requester_id);
+      EXPECT_EQ(PlanSignature(slice.plan), naive[s])
+          << "slice " << s << " threads " << threads;
+      EXPECT_EQ(slice.cost, naive_cost[s]);
+      EXPECT_EQ(slice.bins_posted, slice.plan.TotalBinInstances());
+      ASSERT_EQ(slice.num_tasks(), spans[s].num_tasks);
+      for (size_t k = 0; k <= spans[s].num_tasks; ++k) {
+        EXPECT_EQ(slice.task_offsets[k],
+                  report->task_offsets[spans[s].first_task + k] -
+                      report->task_offsets[spans[s].first_task]);
+      }
+    }
+
+    // Out-of-range ids in an early and a late placement: the fanned-out
+    // split names the earliest, in the message a small plan gets.
+    const size_t atomic = report->num_atomic_tasks();
+    const size_t half = report->plan.num_placements() / 2;
+    const TaskId early = static_cast<TaskId>(atomic + 7);
+    const TaskId late = static_cast<TaskId>(atomic + 3);
+    BatchReport bad;
+    bad.task_offsets = report->task_offsets;
+    bad.plan.AppendRange(report->plan, 0, half, 0);
+    bad.plan.Add(2, 1, {0, early});
+    bad.plan.AppendRange(report->plan, half,
+                         report->plan.num_placements() - half, 0);
+    bad.plan.Add(2, 1, {1, late});
+    BatchReport small;
+    small.task_offsets = report->task_offsets;
+    small.plan.Add(2, 1, {0, early});
+    small.plan.Add(2, 1, {1, late});
+    auto bad_split = PlanSplitter::SplitBySpans(bad, profile, spans);
+    auto small_split = PlanSplitter::SplitBySpans(small, profile, spans);
+    ASSERT_FALSE(bad_split.ok());
+    ASSERT_FALSE(small_split.ok());
+    EXPECT_TRUE(bad_split.status().IsInvalidArgument());
+    EXPECT_EQ(bad_split.status().ToString(), small_split.status().ToString());
+    EXPECT_NE(bad_split.status().ToString().find(std::to_string(early)),
+              std::string::npos)
+        << bad_split.status().ToString();
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 namespace slade {
 namespace {
@@ -70,6 +71,15 @@ TEST(ParallelForTest, NullPoolRunsInline) {
   std::vector<int> hits(64, 0);
   ParallelFor(nullptr, hits.size(), [&](size_t i) { ++hits[i]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
+}
+
+TEST(ParallelForTest, SingleJobRunsOnTheCallingThread) {
+  // One job makes no pool round trip (the engine routes a one-chunk batch
+  // this way).
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  ParallelFor(&pool, 1, [&](size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ParallelForTest, ResultsMatchSerialComputation) {
