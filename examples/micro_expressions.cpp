@@ -7,12 +7,14 @@
 //   3. decompose a 5,000-image screening task at t = 0.9 (OPQ-Based);
 //   4. execute the plan on the platform and measure the realized recall.
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <numeric>
 
 #include "binmodel/calibration.h"
 #include "common/table_printer.h"
-#include "simulator/executor.h"
+#include "engine/answer_collector.h"
 #include "simulator/probe_runner.h"
 #include "solver/opq_solver.h"
 #include "solver/plan_validator.h"
@@ -84,21 +86,26 @@ int main() {
     truth[i] = rng.NextBernoulli(0.25);  // 25% of faces show the expression
     positives += truth[i];
   }
-  auto execution = ExecutePlan(platform, *plan, *profile, truth);
-  if (!execution.ok()) {
-    std::cerr << execution.status().ToString() << "\n";
+  std::vector<TaskId> ids(task->size());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
+  AnswerCollector collector;
+  const Status posted = SimulatedDispatcher(platform, /*pool=*/nullptr)
+                            .Dispatch(*plan, *profile, ids, truth,
+                                      &collector);
+  if (!posted.ok()) {
+    std::cerr << posted.ToString() << "\n";
     return 1;
   }
+  const DispatchStats executed = collector.stats();
+  const double recall = PositiveRecall(collector.TakeAnswers(), truth);
   std::printf(
-      "\nExecuted %llu bins for %.2f USD; %llu/%zu positive faces "
+      "\nExecuted %llu bins for %.2f USD; %lld/%zu positive faces "
       "detected\n",
-      static_cast<unsigned long long>(execution->bins_posted),
-      execution->total_cost,
-      static_cast<unsigned long long>(execution->positives -
-                                      execution->false_negatives),
-      positives);
-  std::printf("Measured recall %.4f vs target reliability %.2f\n",
-              execution->positive_recall, 0.9);
+      static_cast<unsigned long long>(executed.bins_posted),
+      executed.platform_cost,
+      std::llround(recall * static_cast<double>(positives)), positives);
+  std::printf("Measured recall %.4f vs target reliability %.2f\n", recall,
+              0.9);
   std::printf("(calibration noise and worker-skill spread explain the "
               "difference)\n");
   return 0;

@@ -4,10 +4,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <numeric>
 
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
-#include "simulator/executor.h"
+#include "engine/answer_collector.h"
 #include "solver/plan_validator.h"
 #include "solver/solver.h"
 #include "workload/workload.h"
@@ -31,6 +32,9 @@ int main() {
   for (size_t i = 0; i < truth.size(); ++i) {
     truth[i] = rng.NextBernoulli(0.4);
   }
+  // Plans address the workload's atomic tasks directly.
+  std::vector<TaskId> ids(truth.size());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
 
   TablePrinter table({"Solver", "Cost (USD)", "Bins", "Solve (s)",
                       "Feasible", "Measured recall", "Paid (USD)"});
@@ -56,10 +60,12 @@ int main() {
     // plans that sit exactly at the threshold, so it is disabled here.
     config.skill_sigma = 0.0;
     Platform platform(config);
-    auto execution =
-        ExecutePlan(platform, *plan, workload->profile, truth);
-    if (!execution.ok()) {
-      std::cerr << execution.status().ToString() << "\n";
+    AnswerCollector collector;
+    const Status posted = SimulatedDispatcher(platform, /*pool=*/nullptr)
+                              .Dispatch(*plan, workload->profile, ids,
+                                        truth, &collector);
+    if (!posted.ok()) {
+      std::cerr << posted.ToString() << "\n";
       return 1;
     }
 
@@ -69,8 +75,9 @@ int main() {
          std::to_string(plan->TotalBinInstances()),
          TablePrinter::FormatDouble(seconds, 3),
          report->feasible ? "yes" : "NO",
-         TablePrinter::FormatDouble(execution->positive_recall, 4),
-         TablePrinter::FormatDouble(execution->total_cost, 2)});
+         TablePrinter::FormatDouble(
+             PositiveRecall(collector.TakeAnswers(), truth), 4),
+         TablePrinter::FormatDouble(collector.stats().platform_cost, 2)});
   }
   table.Print(std::cout);
 

@@ -5,19 +5,23 @@
 
 #include "common/math_util.h"
 #include "common/random.h"
+#include "engine/answer_collector.h"
 #include "inference/truth_inference.h"
 
 namespace slade {
 
 namespace {
 
-// One posted bin's footprint: which tasks it contained at which
-// cardinality (needed to recompute delivered reliability when the
-// confidence estimates change).
-struct PostedBin {
-  uint32_t cardinality = 0;
-  std::vector<TaskId> tasks;
-};
+// Log-reliability each task has collected under `profile`: every answer
+// is one posted bin copy's contribution to its task.
+std::vector<double> Delivered(const std::vector<WorkerAnswer>& answers,
+                              const BinProfile& profile, size_t n) {
+  std::vector<double> delivered(n, 0.0);
+  for (const WorkerAnswer& a : answers) {
+    delivered[a.task] += profile.bin(a.cardinality).log_weight();
+  }
+  return delivered;
+}
 
 // Rebuilds a BinProfile with the given confidences over the cost schedule
 // of `base`.
@@ -54,8 +58,9 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
     confidences[l - 1] = initial_profile.bin(l).confidence;
   }
 
-  std::vector<PostedBin> posted;  // real task bins posted so far
-  uint64_t total_answers = 0;
+  // Every real-task answer so far, in posting order; the dispatcher tags
+  // each with its bin's cardinality.
+  std::vector<WorkerAnswer> answers;
   // Per task: positive/total answer counts per cardinality, for the
   // pairwise-agreement confidence estimator.
   struct TaskAnswerCounts {
@@ -63,7 +68,6 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
   };
   std::vector<TaskAnswerCounts> task_answers(n);
   for (auto& t : task_answers) t.per_cardinality.assign(m + 1, {0, 0});
-  std::vector<bool> detected(n, false);
   // Gold probe agreement counts per cardinality (ground truth known).
   std::vector<ProbeObservation> gold(m + 1);
   for (uint32_t l = 1; l <= m; ++l) {
@@ -71,6 +75,7 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
     gold[l].bin_cost = initial_profile.bin(l).cost;
   }
   Xoshiro256 probe_rng(options.probe_seed);
+  SimulatedDispatcher dispatcher(platform, /*pool=*/nullptr);
 
   AdaptiveReport report;
   auto planner = MakeSolver(options.solver, options.solver_options);
@@ -80,11 +85,7 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
                            WithConfidences(initial_profile, confidences));
 
     // Outstanding demand under the current estimates.
-    std::vector<double> delivered(n, 0.0);
-    for (const PostedBin& bin : posted) {
-      const double w = profile.bin(bin.cardinality).log_weight();
-      for (TaskId id : bin.tasks) delivered[id] += w;
-    }
+    const std::vector<double> delivered = Delivered(answers, profile, n);
     std::vector<TaskId> unsatisfied;
     std::vector<double> residual_thresholds;
     for (size_t i = 0; i < n; ++i) {
@@ -105,40 +106,18 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
                            planner->Solve(residual_task, profile));
 
     // 2a. Post the plan's bins and log answers.
+    AnswerCollector collector;
+    SLADE_RETURN_NOT_OK(dispatcher.Dispatch(plan, profile, unsatisfied,
+                                            ground_truth, &collector));
+    const DispatchStats dispatched = collector.stats();
     AdaptiveRoundStats stats;
-    for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
-      const DecompositionPlan::PlacementView placement = plan.view(pi);
-      if (placement.num_tasks == 0) continue;
-      std::vector<TaskId> global_ids;
-      global_ids.reserve(placement.num_tasks);
-      std::vector<bool> truth;
-      truth.reserve(placement.num_tasks);
-      for (uint32_t k = 0; k < placement.num_tasks; ++k) {
-        const TaskId global = unsatisfied[placement.tasks[k]];
-        global_ids.push_back(global);
-        truth.push_back(ground_truth[global]);
-      }
-      const double cost = initial_profile.bin(placement.cardinality).cost;
-      for (uint32_t copy = 0; copy < placement.copies; ++copy) {
-        SLADE_ASSIGN_OR_RETURN(
-            BinOutcome outcome,
-            platform.PostBin(placement.cardinality, cost, truth, 1));
-        ++stats.bins_posted;
-        stats.cost += cost;
-        const AssignmentOutcome& assignment = outcome.assignments.front();
-        for (size_t k = 0; k < global_ids.size(); ++k) {
-          auto& [pos, tot] =
-              task_answers[global_ids[k]]
-                  .per_cardinality[placement.cardinality];
-          ++tot;
-          ++total_answers;
-          if (assignment.answers[k]) {
-            ++pos;
-            detected[global_ids[k]] = true;
-          }
-        }
-        posted.push_back(PostedBin{placement.cardinality, global_ids});
-      }
+    stats.bins_posted = dispatched.bins_posted;
+    stats.cost = dispatched.platform_cost;
+    for (const WorkerAnswer& a : collector.TakeAnswers()) {
+      auto& [pos, tot] = task_answers[a.task].per_cardinality[a.cardinality];
+      ++tot;
+      if (a.answer) ++pos;
+      answers.push_back(a);
     }
 
     // 2b. Post gold probe bins (synthetic tasks with known truth).
@@ -175,7 +154,7 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
         total[l] += gold[l].total;
         correct[l] += gold[l].correct;
       }
-      if (total_answers >= options.min_answers_for_recalibration) {
+      if (answers.size() >= options.min_answers_for_recalibration) {
         std::vector<uint64_t> agree_pairs(m + 1, 0), all_pairs(m + 1, 0);
         for (const TaskAnswerCounts& t : task_answers) {
           for (uint32_t l = 1; l <= m; ++l) {
@@ -231,11 +210,7 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
     // 5. Recount the shortfall under the new estimates.
     SLADE_ASSIGN_OR_RETURN(BinProfile updated,
                            WithConfidences(initial_profile, confidences));
-    std::vector<double> redelivered(n, 0.0);
-    for (const PostedBin& bin : posted) {
-      const double w = updated.bin(bin.cardinality).log_weight();
-      for (TaskId id : bin.tasks) redelivered[id] += w;
-    }
+    const std::vector<double> redelivered = Delivered(answers, updated, n);
     stats.unsatisfied_after = 0;
     for (size_t i = 0; i < n; ++i) {
       if (task.theta(static_cast<TaskId>(i)) - redelivered[i] > kRelEps) {
@@ -256,16 +231,7 @@ Result<AdaptiveReport> RunAdaptiveDecomposition(
   }
 
   report.final_confidences = confidences;
-  uint64_t positives = 0, hits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!ground_truth[i]) continue;
-    ++positives;
-    if (detected[i]) ++hits;
-  }
-  report.positive_recall =
-      positives == 0 ? 1.0
-                     : static_cast<double>(hits) /
-                           static_cast<double>(positives);
+  report.positive_recall = PositiveRecall(answers, ground_truth);
   return report;
 }
 

@@ -1,13 +1,15 @@
 #include "engine/answer_collector.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
 namespace slade {
 
 struct DispatchJob {
-  uint32_t cardinality = 0;
+  uint16_t cardinality = 0;
   uint32_t copies = 0;
+  double cost = 0.0;               // per copy, from the plan's profile
   std::vector<TaskId> global_ids;  // the placement's tasks, mapped globally
   std::vector<bool> truth;         // ground truth per contained task
 };
@@ -15,18 +17,28 @@ struct DispatchJob {
 namespace {
 
 // Validates and pre-translates every placement before anything is
-// enqueued, so a malformed plan never half-dispatches.
+// posted, so a malformed plan never half-dispatches.
 Result<std::vector<DispatchJob>> BuildDispatchJobs(
-    const DecompositionPlan& plan, const std::vector<TaskId>& global_of_local,
+    const DecompositionPlan& plan, const BinProfile& profile,
+    const std::vector<TaskId>& global_of_local,
     const std::vector<bool>& ground_truth) {
   std::vector<DispatchJob> jobs;
   jobs.reserve(plan.num_placements());
   for (size_t pi = 0; pi < plan.num_placements(); ++pi) {
     const DecompositionPlan::PlacementView p = plan.view(pi);
     if (p.num_tasks == 0) continue;
+    if (p.cardinality == 0 || p.cardinality > profile.max_cardinality() ||
+        p.cardinality > UINT16_MAX || p.num_tasks > p.cardinality) {
+      return Status::InvalidArgument(
+          "placement of " + std::to_string(p.num_tasks) +
+          " task(s) at cardinality " + std::to_string(p.cardinality) +
+          " does not fit the profile (m=" +
+          std::to_string(profile.max_cardinality()) + ")");
+    }
     DispatchJob job;
-    job.cardinality = p.cardinality;
+    job.cardinality = static_cast<uint16_t>(p.cardinality);
     job.copies = p.copies;
+    job.cost = profile.bin(p.cardinality).cost;
     job.global_ids.reserve(p.num_tasks);
     job.truth.reserve(p.num_tasks);
     for (uint32_t k = 0; k < p.num_tasks; ++k) {
@@ -73,26 +85,6 @@ void AnswerCollector::CountOutageRetry() {
   ++stats_.outage_retries;
 }
 
-void AnswerCollector::CountCalibration(uint32_t cardinality, uint64_t correct,
-                                       uint64_t total, double bin_cost) {
-  if (total == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ProbeObservation& obs = calibration_[cardinality];
-  obs.cardinality = cardinality;
-  obs.correct += correct;
-  obs.total += total;
-  obs.bin_cost = bin_cost;
-}
-
-std::vector<ProbeObservation> AnswerCollector::TakeCalibrationCounts() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ProbeObservation> out;
-  out.reserve(calibration_.size());
-  for (const auto& [cardinality, obs] : calibration_) out.push_back(obs);
-  calibration_.clear();
-  return out;
-}
-
 std::vector<WorkerAnswer> AnswerCollector::TakeAnswers() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<WorkerAnswer> out;
@@ -105,24 +97,25 @@ DispatchStats AnswerCollector::stats() const {
   return stats_;
 }
 
-SimulatedDispatcher::SimulatedDispatcher(Platform& platform,
-                                         const BinProfile& profile,
-                                         ThreadPool& pool,
+SimulatedDispatcher::SimulatedDispatcher(Platform& platform, ThreadPool* pool,
                                          FaultInjector* injector)
-    : platform_(platform),
-      profile_(profile),
-      pool_(pool),
-      injector_(injector) {}
+    : platform_(platform), pool_(pool), injector_(injector) {}
 
 Status SimulatedDispatcher::Dispatch(const DecompositionPlan& plan,
-                                     std::vector<TaskId> global_of_local,
+                                     const BinProfile& profile,
+                                     const std::vector<TaskId>& global_of_local,
                                      const std::vector<bool>& ground_truth,
                                      AnswerCollector* collector) {
-  SLADE_ASSIGN_OR_RETURN(std::vector<DispatchJob> jobs,
-                         BuildDispatchJobs(plan, global_of_local, ground_truth));
+  SLADE_ASSIGN_OR_RETURN(
+      std::vector<DispatchJob> jobs,
+      BuildDispatchJobs(plan, profile, global_of_local, ground_truth));
   for (DispatchJob& job : jobs) {
+    if (pool_ == nullptr) {
+      PostPlacementCopy(job, collector);
+      continue;
+    }
     auto shared = std::make_shared<DispatchJob>(std::move(job));
-    pool_.Submit([this, shared, collector] {
+    pool_->Submit([this, shared, collector] {
       PostPlacementCopy(*shared, collector);
     });
   }
@@ -131,7 +124,6 @@ Status SimulatedDispatcher::Dispatch(const DecompositionPlan& plan,
 
 void SimulatedDispatcher::PostPlacementCopy(const DispatchJob& job,
                                             AnswerCollector* collector) {
-  const TaskBin& bin = profile_.bin(job.cardinality);
   for (uint32_t copy = 0; copy < job.copies; ++copy) {
     BinOutcome outcome;
     bool posted = false;
@@ -146,11 +138,11 @@ void SimulatedDispatcher::PostPlacementCopy(const DispatchJob& job,
           collector->CountOutageRetry();
           continue;
         }
-        // A post the platform itself rejects (invalid bin) is a plan bug;
-        // it surfaces as a dropped bin rather than a crash mid-pool.
-        Result<BinOutcome> result = platform_.PostBin(
-            job.cardinality, bin.cost, job.truth, /*assignments=*/1,
-            decision.context);
+        // A post the platform itself rejects (a malformed fault context)
+        // surfaces as a dropped bin rather than a crash mid-pool.
+        Result<BinOutcome> result =
+            platform_.PostBin(job.cardinality, job.cost, job.truth,
+                              /*assignments=*/1, decision.context);
         if (result.ok()) {
           outcome = std::move(*result);
           posted = true;
@@ -165,18 +157,15 @@ void SimulatedDispatcher::PostPlacementCopy(const DispatchJob& job,
     const AssignmentOutcome& assignment = outcome.assignments.front();
     std::vector<WorkerAnswer> answers;
     answers.reserve(job.global_ids.size());
-    uint64_t calibration_correct = 0;
     for (size_t k = 0; k < job.global_ids.size(); ++k) {
       WorkerAnswer answer;
       answer.worker = assignment.worker_id;
       answer.task = job.global_ids[k];
       answer.answer = assignment.answers[k];
-      if (answer.answer == job.truth[k]) ++calibration_correct;
+      answer.cardinality = job.cardinality;
       answers.push_back(answer);
     }
-    collector->CountCalibration(job.cardinality, calibration_correct,
-                                job.global_ids.size(), bin.cost);
-    collector->Accept(std::move(answers), outcome.overtime, bin.cost);
+    collector->Accept(std::move(answers), outcome.overtime, job.cost);
   }
 }
 

@@ -1,14 +1,18 @@
 // Copyright (c) the SLADE reproduction authors.
 //
 // The dispatch layer between decomposition plans and the simulated
-// marketplace. A plan names bins; a platform answers posts. The
-// SimulatedDispatcher turns each placement copy into one bin post on the
-// (mutex-guarded) Platform -- routed through an optional FaultInjector
-// whose verdict may perturb or transiently fail the post -- and streams
-// the resulting worker answers into an AnswerCollector, translated to
-// global atomic-task ids. Posting runs on a caller-supplied ThreadPool,
-// so answers arrive asynchronously and out of order, as on a real
-// marketplace; a round barrier is just pool.Wait().
+// marketplace, and the only code that posts a plan's bins to it. A plan
+// names bins; a platform answers posts. The SimulatedDispatcher turns each
+// placement copy into one bin post on the (mutex-guarded) Platform, priced
+// by the profile the plan was solved under -- routed through an optional
+// FaultInjector whose verdict may perturb or transiently fail the post --
+// and streams the resulting worker answers into an AnswerCollector,
+// translated to global atomic-task ids and tagged with their bin's
+// cardinality. Callers derive their own statistics (recall, agreement,
+// calibration counts) from those answers. Posting runs on an optional
+// ThreadPool, so answers arrive asynchronously and out of order, as on a
+// real marketplace; a round barrier is just Wait(). Without a pool every
+// copy posts on the calling thread, in plan order.
 //
 // Outage handling: a post that hits an outage window is retried (each
 // attempt advances the injector's schedule, so windows pass); a post that
@@ -20,11 +24,9 @@
 #define SLADE_ENGINE_ANSWER_COLLECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <vector>
 
-#include "binmodel/calibration.h"
 #include "binmodel/task.h"
 #include "binmodel/task_bin.h"
 #include "common/result.h"
@@ -58,19 +60,6 @@ class AnswerCollector {
   void CountDroppedBin();
   void CountOutageRetry();
 
-  /// Folds one posted copy's scoring into the per-cardinality calibration
-  /// tally: `correct` of `total` collected answers at `cardinality`
-  /// matched the known ground truth. Fed by the dispatcher, which is the
-  /// only layer that still knows both the serving cardinality and the
-  /// truth (WorkerAnswer records neither).
-  void CountCalibration(uint32_t cardinality, uint64_t correct,
-                        uint64_t total, double bin_cost);
-
-  /// Moves the per-cardinality tallies out as ProbeObservations (sorted by
-  /// cardinality), ready for ProfileRegistry::FoldOutcomes or
-  /// CalibrateProfile. The tallies reset; counters stay.
-  std::vector<ProbeObservation> TakeCalibrationCounts();
-
   /// Moves the collected answers out (the collector keeps its counters).
   std::vector<WorkerAnswer> TakeAnswers();
 
@@ -79,7 +68,6 @@ class AnswerCollector {
  private:
   mutable std::mutex mutex_;
   std::vector<WorkerAnswer> answers_;
-  std::map<uint32_t, ProbeObservation> calibration_;
   DispatchStats stats_;
 };
 
@@ -91,39 +79,46 @@ struct DispatchJob;
 ///
 /// The dispatcher serializes platform access internally (the simulator's
 /// RNG is one stream); parallelism across pool threads models concurrent
-/// HIT completion, not concurrent RNG use. With a 1-thread pool the whole
-/// dispatch is deterministic in (platform seed, injector seed, plan).
+/// HIT completion, not concurrent RNG use. Without a pool, or with a
+/// 1-thread pool, the whole dispatch is deterministic in (platform seed,
+/// injector seed, plan).
 class SimulatedDispatcher {
  public:
-  /// `injector` may be null (no fault injection). All references must
-  /// outlive the dispatcher.
-  SimulatedDispatcher(Platform& platform, const BinProfile& profile,
-                      ThreadPool& pool, FaultInjector* injector = nullptr);
+  /// `pool` may be null (post on the calling thread) and `injector` may be
+  /// null (no fault injection). Everything passed must outlive the
+  /// dispatcher.
+  SimulatedDispatcher(Platform& platform, ThreadPool* pool,
+                      FaultInjector* injector = nullptr);
 
   /// Give-up bound for a post stuck in outage verdicts.
   static constexpr int kMaxPostAttempts = 64;
 
-  /// Enqueues every placement copy of `plan` for posting, read straight
-  /// off its flat columns. Placement task ids are plan-local;
+  /// Posts every placement copy of `plan`, read straight off its flat
+  /// columns, at the bin costs of `profile` -- the profile the plan was
+  /// solved and billed under. Placement task ids are plan-local;
   /// `global_of_local[id]` translates them to the global atomic-task ids
   /// used by `ground_truth` (indexed globally) and by the collected
-  /// answers. Returns immediately; answers land in `collector` as posts
-  /// complete. Fails fast (before enqueueing) on a placement referencing an
-  /// id outside the mapping.
-  Status Dispatch(const DecompositionPlan& plan,
-                  std::vector<TaskId> global_of_local,
+  /// answers. With a pool it returns once every copy is enqueued, and
+  /// answers land in `collector` as posts complete; without one every copy
+  /// has posted when it returns. Fails before posting anything on a
+  /// placement referencing an id outside the mapping or the ground truth,
+  /// or whose cardinality is 0, above the profile's, above 65,535, or
+  /// smaller than its task count.
+  Status Dispatch(const DecompositionPlan& plan, const BinProfile& profile,
+                  const std::vector<TaskId>& global_of_local,
                   const std::vector<bool>& ground_truth,
                   AnswerCollector* collector);
 
   /// Blocks until every enqueued post has completed or been dropped.
-  void Wait() { pool_.Wait(); }
+  void Wait() {
+    if (pool_ != nullptr) pool_->Wait();
+  }
 
  private:
   void PostPlacementCopy(const DispatchJob& job, AnswerCollector* collector);
 
   Platform& platform_;
-  const BinProfile& profile_;
-  ThreadPool& pool_;
+  ThreadPool* pool_;
   FaultInjector* injector_;
   std::mutex platform_mutex_;
 };

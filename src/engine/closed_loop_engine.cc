@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -25,6 +26,24 @@ struct RoundSubmission {
 };
 
 constexpr double kSpammerAccuracyCutoff = 0.6;
+
+/// Scores one round's answers against the simulator's ground truth, per
+/// bin cardinality: the (correct, total) counts registry recalibration
+/// folds, in cardinality order.
+std::vector<ProbeObservation> ScoreByCardinality(
+    const std::vector<WorkerAnswer>& answers, const std::vector<bool>& truth) {
+  std::map<uint16_t, ProbeObservation> scored;
+  for (const WorkerAnswer& a : answers) {
+    ProbeObservation& obs = scored[a.cardinality];
+    obs.cardinality = a.cardinality;
+    ++obs.total;
+    if (a.answer == truth[a.task]) ++obs.correct;
+  }
+  std::vector<ProbeObservation> out;
+  out.reserve(scored.size());
+  for (const auto& [cardinality, obs] : scored) out.push_back(obs);
+  return out;
+}
 
 }  // namespace
 
@@ -132,7 +151,8 @@ Result<ClosedLoopReport> ClosedLoopEngine::Run(
   FaultInjector* injector_ptr = options_.faults.any() ? &injector : nullptr;
   StreamingEngine streaming(profile_, options_.streaming);
   ThreadPool pool(std::max<uint32_t>(1, options_.dispatch_threads));
-  SimulatedDispatcher dispatcher(platform, profile_, pool, injector_ptr);
+  SimulatedDispatcher dispatcher(platform, &pool, injector_ptr);
+  ProfileRegistry* const registry = options_.streaming.registry;
 
   ClosedLoopReport report;
   std::vector<WorkerAnswer> all_answers;
@@ -182,14 +202,31 @@ Result<ClosedLoopReport> ClosedLoopEngine::Run(
       stats.atomic_tasks += slice->num_atomic_tasks();
       stats.billed_cost += slice->cost;
       if (!slice->platform.empty()) served_platforms.insert(slice->platform);
+      // Post the slice at the prices it was solved and billed under: its
+      // serving (platform, epoch) profile in registry mode. Promotions
+      // land only after a round's dispatch, so that epoch is still
+      // current.
+      const BinProfile* serving = &profile_;
+      PlatformSnapshot snapshot;
+      if (registry != nullptr) {
+        SLADE_ASSIGN_OR_RETURN(snapshot, registry->Current(slice->platform));
+        if (snapshot.epoch != slice->epoch) {
+          return Status::Internal(
+              "platform '" + slice->platform + "' moved from epoch " +
+              std::to_string(slice->epoch) + " to " +
+              std::to_string(snapshot.epoch) + " before dispatch");
+        }
+        serving = snapshot.profile.get();
+      }
       SLADE_RETURN_NOT_OK(dispatcher.Dispatch(
-          slice->plan, sub.global_of_local, truth, &collector));
+          slice->plan, *serving, sub.global_of_local, truth, &collector));
       if (options_.keep_round_plans) {
         slices.push_back(std::move(*slice));
       }
     }
     dispatcher.Wait();
     stats.dispatch_seconds = dispatch_watch.ElapsedSeconds();
+    std::vector<WorkerAnswer> fresh = collector.TakeAnswers();
 
     // Online recalibration: fold the round's scored answers into the
     // served platform's candidate profile. The simulator is one
@@ -198,10 +235,9 @@ Result<ClosedLoopReport> ClosedLoopEngine::Run(
     // marketplace's reliability to several platforms. A promotion (if the
     // drift tolerance trips) takes effect at the next admission; work
     // already admitted keeps its epoch.
-    if (options_.streaming.registry != nullptr &&
-        served_platforms.size() == 1) {
-      Result<uint64_t> folded = options_.streaming.registry->FoldOutcomes(
-          *served_platforms.begin(), collector.TakeCalibrationCounts());
+    if (registry != nullptr && served_platforms.size() == 1) {
+      Result<uint64_t> folded = registry->FoldOutcomes(
+          *served_platforms.begin(), ScoreByCardinality(fresh, truth));
       if (!folded.ok() && !folded.status().IsNotFound()) {
         return folded.status();
       }
@@ -217,7 +253,6 @@ Result<ClosedLoopReport> ClosedLoopEngine::Run(
     stats.outage_retries = dispatched.outage_retries;
     stats.answers = dispatched.answers;
     stats.platform_cost = platform.total_spent() - platform_spent_before;
-    std::vector<WorkerAnswer> fresh = collector.TakeAnswers();
     for (const WorkerAnswer& a : fresh) ++answer_count[a.task];
     all_answers.insert(all_answers.end(), fresh.begin(), fresh.end());
 

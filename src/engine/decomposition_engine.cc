@@ -274,7 +274,7 @@ DecompositionEngine::DecompositionEngine(EngineOptions options)
       pool_(std::make_unique<ThreadPool>(
           options.num_threads == 0 ? ThreadPool::DefaultThreads()
                                    : options.num_threads)),
-      plan_governor_(options.resources.plan_arena_max_bytes, 0) {}
+      plan_governor_(0, 0) {}
 
 DecompositionEngine::~DecompositionEngine() = default;
 

@@ -146,9 +146,6 @@ class OpqCache {
   /// Zeroes the lifetime counters without touching the entries.
   void ResetStats();
 
-  /// The governor charged for resident entries (capacity + peaks).
-  const ResourceGovernor& governor() const { return governor_; }
-
   const OpqCacheOptions& options() const { return options_; }
 
   /// Structural fingerprint of a profile: hash over every bin's

@@ -21,7 +21,7 @@
 //    assignment, or an explicit platform named by the client.
 //
 //  * Streamed answer outcomes (ground-truth-scored per-cardinality counts,
-//    e.g. from AnswerCollector on the closed-loop path) fold into a
+//    e.g. from ClosedLoopEngine's dispatched answers) fold into a
 //    candidate profile per platform. Every `recalibrate_every` folded
 //    answers the candidate is refit with CalibrateProfile; when some
 //    cardinality's confidence drifts beyond `drift_tolerance` the

@@ -46,12 +46,6 @@ struct ResourceOptions {
   /// when many solver threads look up distinct keys at once.
   uint32_t cache_shards = 8;
 
-  // --- Plan arenas (batch engine materialization / merge path) ---
-  /// Ledger capacity for decomposition plan arenas (see solver/plan_arena.h).
-  /// Arenas charge unconditionally -- the limit is observational (peak
-  /// tracking via GovernorCounters), not admission control; 0 = unbounded.
-  uint64_t plan_arena_max_bytes = 0;
-
   // --- StreamingEngine admission queue ---
   /// Cap on atomic tasks queued ahead of the solver (pending, not yet
   /// flushed). A single submission larger than the cap is still admitted

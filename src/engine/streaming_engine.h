@@ -292,8 +292,6 @@ class StreamingEngine {
   /// requester).
   std::vector<TenantStats> tenant_stats() const;
   const OpqCache& cache() const { return engine_.cache(); }
-  /// The governor bounding the pending admission queue.
-  const ResourceGovernor& governor() const { return governor_; }
   const StreamingOptions& options() const { return options_; }
 
  private:

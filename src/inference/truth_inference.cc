@@ -173,4 +173,21 @@ double LabelAccuracy(const InferenceResult& result,
          static_cast<double>(answered.size());
 }
 
+double PositiveRecall(const std::vector<WorkerAnswer>& answers,
+                      const std::vector<bool>& truth) {
+  std::vector<bool> detected(truth.size(), false);
+  for (const WorkerAnswer& a : answers) {
+    if (a.answer && a.task < truth.size()) detected[a.task] = true;
+  }
+  uint64_t positives = 0, hits = 0;
+  for (size_t i = 0; i < truth.size(); ++i) {
+    if (!truth[i]) continue;
+    ++positives;
+    if (detected[i]) ++hits;
+  }
+  return positives == 0 ? 1.0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(positives);
+}
+
 }  // namespace slade

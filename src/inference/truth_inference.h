@@ -9,9 +9,11 @@
 //   * a binary one-coin Dawid-Skene EM -- jointly estimates per-worker
 //     accuracy and per-task truth posteriors.
 //
-// The adaptive decomposer (src/adaptive/) uses inferred truths to monitor
-// bin confidence on-line, mirroring the paper's "testing task bins as
-// real-time probes" discussion without requiring ground truth.
+// The closed loop (engine/closed_loop_engine.h) aggregates every round's
+// answers with one of them. The adaptive decomposer (src/adaptive/) instead
+// monitors bin confidence on-line from gold probe bins and the pairwise-
+// agreement estimator below, mirroring the paper's "testing task bins as
+// real-time probes" discussion.
 
 #ifndef SLADE_INFERENCE_TRUTH_INFERENCE_H_
 #define SLADE_INFERENCE_TRUTH_INFERENCE_H_
@@ -30,7 +32,11 @@ struct WorkerAnswer {
   uint32_t worker = 0;
   TaskId task = 0;
   bool answer = false;
+  /// Cardinality of the bin the answer came from (0 when unknown).
+  uint16_t cardinality = 0;
 };
+// Runs keep every answer they collect: the tag must not grow the record.
+static_assert(sizeof(WorkerAnswer) == 12, "WorkerAnswer grew");
 
 /// \brief Output of an inference run.
 struct InferenceResult {
@@ -83,6 +89,13 @@ Result<InferenceResult> DawidSkeneBinary(
 double LabelAccuracy(const InferenceResult& result,
                      const std::vector<bool>& truth,
                      const std::vector<WorkerAnswer>& answers);
+
+/// \brief Fraction of ground-truth-positive tasks with at least one
+/// positive answer: the empirical counterpart of Definition 2's "no false
+/// negative" reliability. 1.0 when `truth` has no positives; answers
+/// referencing tasks beyond `truth` are ignored.
+double PositiveRecall(const std::vector<WorkerAnswer>& answers,
+                      const std::vector<bool>& truth);
 
 /// \brief Moment estimator of worker confidence from pairwise agreement.
 ///

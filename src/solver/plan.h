@@ -42,8 +42,8 @@ class ResourceGovernor;
 ///
 /// The paper's plan notation {tau_i, b_i} only counts bins per cardinality;
 /// we additionally record the task-to-bin mapping so that plans can be
-/// validated (plan_validator.h) and executed on the platform simulator
-/// (simulator/executor.h).
+/// validated (plan_validator.h) and posted to the platform simulator
+/// (engine/answer_collector.h).
 ///
 /// A placement may hold fewer tasks than its cardinality: Definition 1
 /// allows a bin to contain *at most* l distinct atomic tasks, and the OPQ

@@ -12,6 +12,7 @@
 
 #include "binmodel/profile_model.h"
 #include "common/random.h"
+#include "engine/profile_registry.h"
 #include "engine/streaming_engine.h"
 #include "plan_signature.h"
 
@@ -258,6 +259,37 @@ TEST(ClosedLoopTest, MultiThreadedDispatchAnswersEverything) {
   EXPECT_EQ(report->round_stats[0].unanswered_after, 0u);
   EXPECT_GT(report->total_answers, 0u);
   EXPECT_GT(report->billed_cost, 0.0);
+}
+
+// A registry-served slice is billed at its serving profile's prices, so
+// the marketplace must be paid those prices too -- also for bins the
+// constructor profile does not have.
+TEST(ClosedLoopTest, RegistryServedSlicesArePaidAtTheirBilledPrices) {
+  const BinProfile profile = JellyProfile();
+  const BinProfile wider =
+      BuildProfile(MakeModel(DatasetKind::kJelly), 14).ValueOrDie();
+  std::vector<TaskBin> bins;
+  for (uint32_t l = 1; l <= wider.max_cardinality(); ++l) {
+    TaskBin bin = wider.bin(l);
+    bin.cost *= 1.7;
+    bins.push_back(bin);
+  }
+  const BinProfile registered = BinProfile::Create(bins).ValueOrDie();
+  ASSERT_GT(registered.max_cardinality(), profile.max_cardinality());
+  ASSERT_NE(registered.bin(2).cost, profile.bin(2).cost);
+
+  ProfileRegistry registry;
+  ASSERT_TRUE(registry.Register("p", registered).ok());
+  ClosedLoopOptions options;
+  options.streaming.registry = &registry;
+  options.max_rounds = 1;
+  auto report =
+      ClosedLoopEngine(profile, options).Run(MakeWorkloads(6, 40, 21));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ClosedLoopRoundStats& round = report->round_stats[0];
+  ASSERT_GT(round.billed_cost, 0.0);
+  EXPECT_NEAR(round.platform_cost, round.billed_cost,
+              1e-9 * round.billed_cost);
 }
 
 TEST(ClosedLoopTest, RejectsMalformedInput) {

@@ -3,18 +3,21 @@
 //
 // The quota tests are fully deterministic: huge flush caps + a huge
 // deadline park every admission, so quota decisions are observable
-// without races (same idiom as streaming_backpressure_test.cc). The
-// starvation test is a property over delivery order that holds under any
-// thread interleaving once a backlog exists: a heavy tenant's backlog
-// cannot push a light tenant's submissions behind all of its own. The
-// backlog tests build that backlog behind a "blocker": one submission far
-// over the flush caps, solved alone, which holds the solver while the
-// rest of the workload queues.
+// without races (same idiom as streaming_backpressure_test.cc). The DRR
+// order tests build their backlog behind a "blocker": one submission
+// flushed alone while ParkingHooks holds the solver at that micro-batch's
+// durability barrier, until the test has queued the whole backlog. Every
+// later batch is then cut from a queue that no longer changes, so batch
+// composition -- and each submission's flush id -- is a pure function of
+// the DRR rules, and the tests pin exact flush ids.
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "durability/hooks.h"
 #include "engine/streaming_engine.h"
 #include "workload/threshold_gen.h"
 #include "workload/workload.h"
@@ -56,6 +60,55 @@ StreamingOptions ParkedOptions() {
 /// Far over any flush cap used here: flushes alone, at once, and keeps the
 /// solver busy while the submissions behind it queue.
 CrowdsourcingTask BlockerTask() { return FixedTask(20000, 1); }
+
+/// Journal-free durability hooks whose first SyncOutcomes -- the end of
+/// the first micro-batch -- blocks the solver until Release().
+class ParkingHooks : public DurabilityHooks {
+ public:
+  std::string GenerateSubmissionId() override {
+    return "s" + std::to_string(next_id_.fetch_add(1));
+  }
+  Status RecordAdmit(const std::string&, const std::string&,
+                     const std::vector<CrowdsourcingTask>&) override {
+    return Status::OK();
+  }
+  Status RecordComplete(const std::string&,
+                        const SubmissionOutcome&) override {
+    return Status::OK();
+  }
+  Status RecordReject(const std::string&) override { return Status::OK(); }
+  Status SyncOutcomes() override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!parked_) {
+      parked_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [&] { return released_; });
+    }
+    return Status::OK();
+  }
+  bool LookupCompleted(const std::string&,
+                       SubmissionOutcome*) const override {
+    return false;
+  }
+
+  /// Blocks until the solver sits in the first barrier.
+  void WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  std::atomic<uint64_t> next_id_{0};
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool parked_ = false;
+  bool released_ = false;
+};
 
 /// A canonical text form of a plan slice, for placement-identity checks:
 /// every placement as (cardinality x copies: sorted task ids).
@@ -189,6 +242,8 @@ TEST(FairSchedulerTest, HeavyBacklogCannotStarveALightTenant) {
   options.max_delay_seconds = 3600.0;
   options.fairness.enabled = true;
   options.fairness.quantum_atomic_tasks = 8;  // one submission per visit
+  ParkingHooks hooks;
+  options.durability = &hooks;
   StreamingEngine engine(*profile, options);
 
   constexpr int kHeavy = 120;
@@ -198,14 +253,20 @@ TEST(FairSchedulerTest, HeavyBacklogCannotStarveALightTenant) {
   // The heavy tenant's entire backlog is admitted FIRST; the light tenant
   // only shows up afterwards. Under plain FIFO, every light submission
   // would land in the final micro-batches, behind all of the heavy ones.
+  // The first heavy submission is the blocker (flush 0).
   for (int i = 0; i < kHeavy; ++i) {
     heavy_futures.push_back(
         engine.Submit("heavy", {FixedTask(8, 100 + static_cast<uint64_t>(i))}));
+    if (i == 0) {
+      engine.Flush();
+      hooks.WaitUntilParked();
+    }
   }
   for (int i = 0; i < kLight; ++i) {
     light_futures.push_back(
         engine.Submit("light", {FixedTask(8, 900 + static_cast<uint64_t>(i))}));
   }
+  hooks.Release();
   engine.Drain();
 
   uint64_t heavy_last_flush = 0;
@@ -216,13 +277,22 @@ TEST(FairSchedulerTest, HeavyBacklogCannotStarveALightTenant) {
   }
   uint64_t light_last_flush = 0;
   double light_mean_flush = 0.0;
+  std::vector<uint64_t> light_flushes;
   for (auto& future : light_futures) {
     auto result = future.get();
     ASSERT_TRUE(result.ok());
     light_last_flush = std::max(light_last_flush, result->flush_id);
     light_mean_flush += static_cast<double>(result->flush_id);
+    light_flushes.push_back(result->flush_id);
   }
   light_mean_flush /= kLight;
+
+  // Exact DRR order: each 8-submission batch alternates heavy and light
+  // until light drains in flush 3; the 107 heavy submissions left finish
+  // in flushes 4-17.
+  EXPECT_EQ(light_flushes, (std::vector<uint64_t>{1, 1, 1, 1, 2, 2, 2, 2, 3,
+                                                  3, 3, 3}));
+  EXPECT_EQ(heavy_last_flush, 17u);
 
   // DRR interleaves the tenants: the light tenant finishes while the
   // heavy backlog is still flushing. FIFO would give
@@ -246,21 +316,29 @@ TEST(FairSchedulerTest, WeightsScaleATenantsShare) {
   options.fairness.enabled = true;
   options.fairness.quantum_atomic_tasks = 8;
   options.fairness.weights["gold"] = 4;  // 4x the credit per visit
+  ParkingHooks hooks;
+  options.durability = &hooks;
   StreamingEngine engine(*profile, options);
 
   // Equal backlogs; gold should drain well before the default-weight
-  // tenant despite being admitted second.
+  // tenant despite being admitted second. The first free submission is
+  // the blocker (flush 0).
   constexpr int kEach = 48;
   std::vector<std::future<Result<RequesterPlan>>> free_futures;
   std::vector<std::future<Result<RequesterPlan>>> gold_futures;
   for (int i = 0; i < kEach; ++i) {
     free_futures.push_back(
         engine.Submit("free", {FixedTask(8, 300 + static_cast<uint64_t>(i))}));
+    if (i == 0) {
+      engine.Flush();
+      hooks.WaitUntilParked();
+    }
   }
   for (int i = 0; i < kEach; ++i) {
     gold_futures.push_back(
         engine.Submit("gold", {FixedTask(8, 500 + static_cast<uint64_t>(i))}));
   }
+  hooks.Release();
   engine.Drain();
 
   uint64_t free_last = 0, gold_last = 0;
@@ -277,6 +355,10 @@ TEST(FairSchedulerTest, WeightsScaleATenantsShare) {
   // gold was admitted after free yet finishes no later: weight 4 takes 4
   // submissions per scheduler visit to free's 1.
   EXPECT_LE(gold_last, free_last);
+  // Exact DRR order: gold's 48 drain in flushes 1-8, and free's last 31
+  // then fill flushes 9-12.
+  EXPECT_EQ(gold_last, 8u);
+  EXPECT_EQ(free_last, 12u);
 
   for (const TenantStats& tenant : engine.tenant_stats()) {
     if (tenant.tenant == "gold") {
@@ -303,6 +385,8 @@ TEST(FairSchedulerTest, DrrGrantsOneQuantumPerVisit) {
   // earn a second quantum and keep the ring front until it drains.
   options.fairness.weights["gold"] = 4;
   options.fairness.weights["blocker"] = 1u << 20;  // its backlog in one visit
+  ParkingHooks hooks;
+  options.durability = &hooks;
   StreamingEngine engine(*profile, options);
 
   constexpr int kEach = 40;
@@ -313,12 +397,14 @@ TEST(FairSchedulerTest, DrrGrantsOneQuantumPerVisit) {
     free_tasks.push_back(FixedTask(8, 2000 + static_cast<uint64_t>(i)));
   }
   auto blocker = engine.Submit("blocker", {BlockerTask()});
+  hooks.WaitUntilParked();  // over the caps: flushes alone as flush 0
   std::vector<std::future<Result<RequesterPlan>>> gold_futures;
   std::vector<std::future<Result<RequesterPlan>>> free_futures;
   for (int i = 0; i < kEach; ++i) {
     gold_futures.push_back(engine.Submit("gold", {gold_tasks[i]}));
     free_futures.push_back(engine.Submit("free", {free_tasks[i]}));
   }
+  hooks.Release();
   engine.Drain();
   ASSERT_TRUE(blocker.get().ok());
 
@@ -341,6 +427,9 @@ TEST(FairSchedulerTest, DrrGrantsOneQuantumPerVisit) {
   // ~10 before gold's backlog drains; a re-credited gold visit holding
   // the ring front lets through only the first couple.
   EXPECT_GE(free_before_gold_done, 8);
+  // Exact DRR order: gold drains in flush 13, after 9 free submissions.
+  EXPECT_EQ(gold_last, 13u);
+  EXPECT_EQ(free_before_gold_done, 9);
 }
 
 // ---------------------------------------------------------------------------

@@ -243,9 +243,10 @@ TEST(RecalibrationTest, AdmittedPlansSolveUnderAdmissionEpoch) {
 TEST(RecalibrationTest, ClosedLoopFoldsMarketplaceOutcomesIntoRegistry) {
   // End to end through the closed loop: the registered profile claims
   // near-perfect workers, the simulated marketplace (profile_model.h's
-  // Jelly model) is much noisier. Scored answers flow AnswerCollector ->
-  // FoldOutcomes; the registry must notice the gap, promote, and pull the
-  // serving confidences down toward the marketplace's real accuracy.
+  // Jelly model) is much noisier. Each round's answers, scored per bin
+  // cardinality, flow into FoldOutcomes; the registry must notice the gap,
+  // promote, and pull the serving confidences down toward the
+  // marketplace's real accuracy.
   constexpr uint32_t kM = 8;
   const BinProfile optimistic = PowerLawProfile(0.002, 0.5, kM);
 

@@ -307,5 +307,26 @@ TEST(LabelAccuracyTest, CountsOnlyAnsweredTasks) {
   EXPECT_DOUBLE_EQ(LabelAccuracy(result, {true, true, false}, {}), 0.0);
 }
 
+TEST(PositiveRecallTest, CountsPositivesWithAtLeastOneYes) {
+  // Positives: tasks 0, 1, 3. Task 0 gets a yes, task 1 only a no, task 3
+  // a no then a yes; the yes on negative task 2 counts for nothing.
+  const std::vector<WorkerAnswer> answers = {
+      {0, 0, true}, {1, 1, false}, {0, 2, true}, {2, 3, false},
+      {3, 3, true}};
+  EXPECT_DOUBLE_EQ(PositiveRecall(answers, {true, true, false, true}),
+                   2.0 / 3.0);
+}
+
+TEST(PositiveRecallTest, NoPositivesGivesOne) {
+  EXPECT_DOUBLE_EQ(PositiveRecall({{0, 0, false}}, {false, false}), 1.0);
+  EXPECT_DOUBLE_EQ(PositiveRecall({}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(PositiveRecall({}, {true}), 0.0);
+}
+
+TEST(PositiveRecallTest, IgnoresOutOfRangeTaskIds) {
+  const std::vector<WorkerAnswer> answers = {{0, 7, true}, {0, 1, true}};
+  EXPECT_DOUBLE_EQ(PositiveRecall(answers, {true, true}), 0.5);
+}
+
 }  // namespace
 }  // namespace slade
