@@ -3,12 +3,13 @@
 //
 // Part 1 (batch): a DecompositionEngine serves interleaved batches from P
 // distinct platform profiles. Unbounded, the cache's working set is one
-// entry per (profile, threshold group); this harness measures that working
-// set, then re-runs with the byte capacity at the working set and at a
-// quarter of it, reporting hit rate, eviction rate, resident bytes and
-// throughput. With capacity >= working set the bounded cache must match
-// the unbounded baseline within noise -- eviction only starts to hurt once
-// the capacity actually cuts into the working set.
+// entry per (profile, decision-key interval that the batches' threshold
+// groups fall into) plus one copy of each profile; this harness measures
+// that working set, then re-runs with the byte capacity at the working set
+// and at a quarter of it, reporting hit rate, eviction rate, resident
+// bytes and throughput. With capacity >= working set the bounded cache
+// must match the unbounded baseline within noise -- eviction only starts
+// to hurt once the capacity actually cuts into the working set.
 //
 // Part 2 (stream): a StreamingEngine takes a burst of submissions against
 // a small admission queue under each backpressure policy x cache capacity,
@@ -48,7 +49,7 @@ struct ProfileWorkload {
 
 /// P structurally distinct profiles (dataset model x max cardinality), each
 /// with a fixed heterogeneous workload so every round re-requests the same
-/// (profile, threshold-group) keys.
+/// (profile, threshold-group) lookups.
 std::vector<ProfileWorkload> MakeProfileWorkloads(size_t num_profiles,
                                                   size_t tasks_per_batch,
                                                   size_t atomic_per_task) {

@@ -17,8 +17,8 @@ uint64_t DoubleBits(double v) {
   return bits;
 }
 
-/// Approximate bookkeeping cost of one entry beyond the queue itself:
-/// the LRU list node, the index bucket slot and its share of the map node.
+/// Approximate bookkeeping cost of one entry, or one profile, beyond what
+/// it holds: its map node and its share of the index.
 constexpr uint64_t kNodeOverheadBytes = 128;
 
 bool SameProfile(const std::vector<TaskBin>& a, const BinProfile& b) {
@@ -35,8 +35,8 @@ bool SameProfile(const std::vector<TaskBin>& a, const BinProfile& b) {
 
 OpqCacheOptions Sanitized(OpqCacheOptions options) {
   if (options.num_shards == 0) options.num_shards = 1;
-  // More shards than entry slots buys nothing but eviction-scan work, so a
-  // tiny cache collapses to fewer shards.
+  // More shards than entry slots buys nothing, so a tiny cache collapses
+  // to fewer shards.
   if (options.max_entries != 0 &&
       static_cast<uint64_t>(options.num_shards) > options.max_entries) {
     options.num_shards = static_cast<uint32_t>(options.max_entries);
@@ -65,68 +65,81 @@ OpqCache::OpqCache(OpqCacheOptions options)
   }
 }
 
-OpqCache::Shard& OpqCache::ShardOf(const Key& key) {
-  return *shards_[HashCombine(key.first, key.second) % shards_.size()];
-}
-
-uint64_t OpqCache::EntryBytes(const Entry& entry) {
-  uint64_t bytes = sizeof(Entry) + kNodeOverheadBytes +
-                   entry.profile_bins.capacity() * sizeof(TaskBin);
-  if (entry.queue != nullptr) bytes += entry.queue->EstimatedBytes();
-  return bytes;
-}
-
-void OpqCache::EvictNodeLocked(Shard* shard, std::list<Node>::iterator it) {
-  auto bucket_it = shard->index.find(it->key);
-  if (bucket_it != shard->index.end()) {
-    auto& chain = bucket_it->second;
-    chain.erase(std::remove_if(chain.begin(), chain.end(),
-                               [&](const std::list<Node>::iterator& link) {
-                                 return link->entry == it->entry;
-                               }),
-                chain.end());
-    if (chain.empty()) shard->index.erase(bucket_it);
-  }
-  governor_.Release(it->entry->charged_bytes, 1);
-  it->entry->resident = false;
-  shard->lru.erase(it);
-  shard->evictions += 1;
-}
-
-bool OpqCache::EvictOneGlobal(const Entry* keep) {
-  // Pass 1: find the shard whose stalest evictable entry has the oldest
-  // tick, holding one shard lock at a time. The answer can go slightly
-  // stale by pass 2 -- an approximation, never a correctness issue.
-  size_t best_shard = shards_.size();
-  uint64_t best_tick = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-    for (auto it = shards_[s]->lru.rbegin(); it != shards_[s]->lru.rend();
-         ++it) {
-      if (it->entry.get() == keep) continue;  // at most one keep to skip
-      if (best_shard == shards_.size() || it->entry->last_used < best_tick) {
-        best_shard = s;
-        best_tick = it->entry->last_used;
-      }
-      break;  // only the stalest evictable entry of this shard competes
+OpqCache::Entry* OpqCache::FindLocked(Group& group, bool valid, double key,
+                                      uint64_t threshold_bits) {
+  if (valid) {
+    const auto it = group.built.lower_bound(key);  // first hi >= key
+    if (it != group.built.end() &&
+        it->second.queue->key_interval().lo < key) {
+      return &it->second;
     }
   }
-  if (best_shard == shards_.size()) return false;
+  const auto it = group.failed.find(threshold_bits);
+  return it == group.failed.end() ? nullptr : &it->second;
+}
 
-  // Pass 2: evict that shard's current stalest evictable entry.
-  Shard& shard = *shards_[best_shard];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    if (it->entry.get() == keep) continue;
-    EvictNodeLocked(&shard, std::prev(it.base()));
-    return true;
+Result<OpqCache::Lookup> OpqCache::HitLocked(Shard* shard, Entry* entry) {
+  entry->last_used = tick_.fetch_add(1) + 1;
+  shard->hits += 1;
+  if (entry->queue == nullptr) return entry->error;
+  return Lookup{entry->queue, /*hit=*/true};
+}
+
+size_t OpqCache::DropGroupLocked(Group* group) {
+  const size_t entries = group->built.size() + group->failed.size();
+  uint64_t bytes = group->charged_bytes;
+  for (const auto& [hi, entry] : group->built) bytes += entry.charged_bytes;
+  for (const auto& [bits, entry] : group->failed) {
+    bytes += entry.charged_bytes;
   }
-  return false;  // raced empty; the caller's loop re-checks capacity
+  governor_.Release(bytes, entries);
+  group->built.clear();
+  group->failed.clear();
+  group->resident = false;
+  return entries;
 }
 
 void OpqCache::EnforceCapacity(const Entry* keep) {
+  if (!governor_.OverCapacity()) return;
+  // Every shard is locked, in index order. Lookups hold one shard mutex at
+  // a time and never wait for another while holding it, so the ordered
+  // acquisition cannot deadlock against them.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+
   while (governor_.OverCapacity()) {
-    if (!EvictOneGlobal(keep)) break;
+    Shard* victim_shard = nullptr;
+    decltype(Shard::groups)::iterator victim_group;
+    Entry* victim = nullptr;
+    for (const auto& shard : shards_) {
+      for (auto g = shard->groups.begin(); g != shard->groups.end(); ++g) {
+        const auto consider = [&](Entry& entry) {
+          if (&entry == keep) return;
+          if (victim == nullptr || entry.last_used < victim->last_used) {
+            victim = &entry;
+            victim_shard = shard.get();
+            victim_group = g;
+          }
+        };
+        for (auto& [hi, entry] : g->second->built) consider(entry);
+        for (auto& [bits, entry] : g->second->failed) consider(entry);
+      }
+    }
+    if (victim == nullptr) return;  // nothing but `keep` is left
+
+    Group& group = *victim_group->second;
+    governor_.Release(victim->charged_bytes, 1);
+    if (victim->queue != nullptr) {
+      group.built.erase(victim->queue->key_interval().hi);
+    } else {
+      group.failed.erase(victim->threshold_bits);
+    }
+    victim_shard->evictions += 1;
+    if (group.built.empty() && group.failed.empty()) {
+      DropGroupLocked(&group);  // its profile copy goes with its last entry
+      victim_shard->groups.erase(victim_group);
+    }
   }
 }
 
@@ -139,89 +152,103 @@ Result<OpqCache::Lookup> OpqCache::GetOrBuild(const BinProfile& profile,
   // structural guard below then disambiguates on (salt, bins).
   const uint64_t fingerprint =
       HashCombine(ProfileFingerprint(profile), salt) & options_.fingerprint_mask;
-  const Key key{fingerprint, DoubleBits(threshold)};
-  Shard& shard = ShardOf(key);
+  Shard& shard = *shards_[fingerprint % shards_.size()];
+  // Validated before the key is computed: LogReduction(1.5) is NaN. An
+  // invalid threshold is memoized under its exact bits, like a failure.
+  const bool valid = threshold > 0.0 && threshold < 1.0;
+  const double key = valid ? OpqDecisionKey(threshold) : 0.0;
+  const uint64_t threshold_bits = DoubleBits(threshold);
 
-  std::shared_ptr<Entry> entry;
-  bool inserted = false;
+  std::shared_ptr<Group> group;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto& chain = shard.index[key];
-    for (const auto& it : chain) {
-      if (it->entry->salt == salt &&
-          SameProfile(it->entry->profile_bins, profile)) {
-        entry = it->entry;
-        // Refresh recency: move the node to the LRU front.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it);
-        entry->last_used = tick_.fetch_add(1) + 1;
-        shard.hits += 1;
+    const auto [first, last] = shard.groups.equal_range(fingerprint);
+    for (auto it = first; it != last; ++it) {
+      if (it->second->salt == salt &&
+          SameProfile(it->second->profile_bins, profile)) {
+        group = it->second;
         break;
       }
     }
-    if (entry == nullptr) {
-      if (!chain.empty()) shard.collisions += 1;
-      shard.misses += 1;
-      entry = std::make_shared<Entry>();
-      entry->profile_bins = profile.bins();
-      entry->salt = salt;
-      entry->last_used = tick_.fetch_add(1) + 1;
-      shard.lru.push_front(Node{key, entry});
-      chain.push_back(shard.lru.begin());
-      inserted = true;
-      // Charge the entry slot now; its bytes follow once the build
-      // finishes.
-      governor_.Charge(0, 1);
-    }
-  }
-  if (inserted) EnforceCapacity(entry.get());
-
-  // The shard lock is released before the (potentially long) build so other
-  // keys proceed concurrently; racers on the same key serialize here.
-  std::lock_guard<std::mutex> build_lock(entry->build_mutex);
-  if (!entry->done) {
-    OpqBuildStats stats;
-    Stopwatch build_watch;
-    auto built = BuildOpq(profile, threshold, options, &stats);
-    {
-      std::lock_guard<std::mutex> stats_lock(build_stats_mutex_);
-      builds_ += 1;
-      build_stats_.Accumulate(stats);
-      build_seconds_ += build_watch.ElapsedSeconds();
-    }
-    if (built.ok()) {
-      entry->queue = std::make_shared<const OptimalPriorityQueue>(
-          std::move(built).ValueOrDie());
-    } else {
-      entry->error = built.status();
-    }
-    entry->done = true;
-
-    const uint64_t bytes = EntryBytes(*entry);
-    bool charged = false;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (entry->resident) {
-        // Not evicted while building: charge the real size. An entry
-        // evicted mid-build is never charged -- it lives on only through
-        // the queue shared_ptr its builder and racers hold.
-        entry->charged_bytes = bytes;
-        governor_.Charge(bytes, 0);
-        charged = true;
+    if (group != nullptr) {
+      if (Entry* entry = FindLocked(*group, valid, key, threshold_bits)) {
+        return HitLocked(&shard, entry);
       }
+    } else {
+      if (first != last) shard.collisions += 1;
+      group = std::make_shared<Group>(salt, profile.bins());
+      group->charged_bytes = sizeof(Group) + kNodeOverheadBytes +
+                             group->profile_bins.capacity() * sizeof(TaskBin);
+      governor_.Charge(group->charged_bytes, 0);
+      shard.groups.emplace(fingerprint, group);
     }
-    if (charged) EnforceCapacity(entry.get());
   }
-  if (!entry->error.ok()) return entry->error;
-  return Lookup{entry->queue, /*hit=*/!inserted};
+
+  // A miss so far. Builds of one profile run one at a time, and a lookup
+  // that waited for one searches again: an interval is built at most once
+  // while it is resident. The shard lock is not held across the build, so
+  // hits and other profiles proceed.
+  std::lock_guard<std::mutex> build_lock(group->build_mutex);
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (Entry* entry = FindLocked(*group, valid, key, threshold_bits)) {
+      return HitLocked(&shard, entry);
+    }
+    shard.misses += 1;
+  }
+  OpqBuildStats stats;
+  Stopwatch build_watch;
+  auto built = BuildOpq(profile, threshold, options, &stats);
+  {
+    std::lock_guard<std::mutex> stats_lock(build_stats_mutex_);
+    builds_ += 1;
+    build_stats_.Accumulate(stats);
+    build_seconds_ += build_watch.ElapsedSeconds();
+  }
+
+  Entry entry;
+  if (built.ok()) {
+    entry.queue = std::make_shared<const OptimalPriorityQueue>(
+        std::move(built).ValueOrDie());
+  } else {
+    entry.error = built.status();
+    entry.threshold_bits = threshold_bits;
+  }
+  entry.charged_bytes =
+      sizeof(Entry) + kNodeOverheadBytes +
+      (entry.queue != nullptr ? entry.queue->EstimatedBytes() : 0);
+  Result<Lookup> result =
+      entry.queue != nullptr
+          ? Result<Lookup>(Lookup{entry.queue, /*hit=*/false})
+          : Result<Lookup>(entry.error);
+
+  const Entry* inserted = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    // A profile dropped while building (Clear, EvictBySalt, eviction of its
+    // last entry) keeps nothing: the queue lives on only through the
+    // shared_ptr handed out here.
+    if (group->resident) {
+      entry.last_used = tick_.fetch_add(1) + 1;
+      // The slot can already be taken only by a build under other
+      // options whose interval overlaps this one; the resident entry
+      // stays, and nothing is charged twice.
+      const auto insert = [&](auto& entries, auto slot) -> const Entry* {
+        const auto [it, fresh] = entries.try_emplace(slot, std::move(entry));
+        return fresh ? &it->second : nullptr;
+      };
+      inserted = entry.queue != nullptr
+                     ? insert(group->built, entry.queue->key_interval().hi)
+                     : insert(group->failed, threshold_bits);
+      if (inserted != nullptr) governor_.Charge(inserted->charged_bytes, 1);
+    }
+  }
+  if (inserted != nullptr) EnforceCapacity(inserted);
+  return result;
 }
 
 size_t OpqCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
+  return static_cast<size_t>(governor_.counters().units);
 }
 
 uint64_t OpqCache::hits() const {
@@ -250,9 +277,9 @@ CacheStats OpqCache::stats() const {
     stats.misses += shard->misses;
     stats.evictions += shard->evictions;
     stats.collisions += shard->collisions;
-    stats.entries += shard->lru.size();
   }
   const GovernorCounters counters = governor_.counters();
+  stats.entries = counters.units;
   stats.bytes = counters.bytes;
   stats.peak_bytes = counters.peak_bytes;
   stats.peak_entries = counters.peak_units;
@@ -268,12 +295,10 @@ CacheStats OpqCache::stats() const {
 void OpqCache::Clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (Node& node : shard->lru) {
-      governor_.Release(node.entry->charged_bytes, 1);
-      node.entry->resident = false;
+    for (const auto& [fingerprint, group] : shard->groups) {
+      DropGroupLocked(group.get());
     }
-    shard->lru.clear();
-    shard->index.clear();
+    shard->groups.clear();
   }
 }
 
@@ -281,13 +306,15 @@ size_t OpqCache::EvictBySalt(uint64_t salt) {
   size_t evicted = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      auto next = std::next(it);
-      if (it->entry->salt == salt) {
-        EvictNodeLocked(shard.get(), it);
-        evicted += 1;
+    for (auto it = shard->groups.begin(); it != shard->groups.end();) {
+      if (it->second->salt != salt) {
+        ++it;
+        continue;
       }
-      it = next;
+      const size_t dropped = DropGroupLocked(it->second.get());
+      shard->evictions += dropped;
+      evicted += dropped;
+      it = shard->groups.erase(it);
     }
   }
   return evicted;

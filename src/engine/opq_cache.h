@@ -1,37 +1,42 @@
 // Copyright (c) the SLADE reproduction authors.
-// Memoized optimal-priority-queue builds, keyed by (profile, threshold).
+// Memoized optimal-priority-queue builds, keyed by (profile, decision-key
+// interval).
 //
 // Building an OPQ (Algorithm 2) is the expensive, input-independent part of
 // the OPQ-Based/OPQ-Extended solvers: it depends only on the bin profile and
 // the reliability threshold, never on which atomic tasks are being assigned.
-// A batch of crowdsourcing tasks drawn from the same platform therefore
-// re-requests the same handful of (profile, threshold) keys over and over;
-// this cache makes every repeat a map lookup instead of a DFS enumeration.
+// It reads the threshold t only through the decision key
+// OpqDecisionKey(t), and a build's queue is the same for every key in the
+// interval (lo, hi] it reports (opq_builder.h says why). So the cache keeps,
+// per (profile, salt), one entry per built interval, and a lookup finds the
+// interval holding its key by binary search: 18,228 distinct N(0.9, 0.03)
+// thresholds at six decimals fall into 15 intervals of a Jelly 10 profile,
+// 78 of SMIC 8 and 374 of SMIC 20, and every lookup returns exactly the
+// queue a fresh build would.
+// An invalid threshold (LogReduction(1.5) is NaN) or a failed build is
+// memoized under the threshold's exact bits instead.
 //
 // The cache is capacity-bounded: a ResourceGovernor tracks estimated bytes
-// (OptimalPriorityQueue::EstimatedBytes plus entry overhead) and entry
-// counts globally, and least-recently-used entries are evicted while the
-// cache is over an OpqCacheOptions limit. Entries live in N lock shards so
-// solver threads looking up distinct keys do not serialize on one mutex;
-// recency is a global monotonic tick stamped on every touch, and eviction
-// approximates global LRU by comparing the tails of all shards and
-// evicting the stalest -- locking one shard at a time, so eviction can
-// never deadlock against lookups. OPQ entries are small and builds are
-// expensive, so the scan cost is noise next to what a wrong eviction would
-// waste. The entry just inserted or touched by the running lookup is never
-// evicted by that same lookup (the working key stays served even when it
-// alone exceeds the budget). Eviction never invalidates a queue a solver
-// already holds: queues are handed out as shared_ptr<const ...>.
+// (OptimalPriorityQueue::EstimatedBytes plus entry overhead, and each
+// profile's copy once) and entry counts globally, and least-recently-used
+// entries are evicted while the cache is over an OpqCacheOptions limit.
+// Profiles live in N lock shards; recency is a global monotonic tick
+// stamped on every touch, and eviction scans every entry for the stalest
+// -- entries are few, and builds are expensive next to the scan. The entry
+// just inserted by the running lookup is never evicted by that same lookup
+// (the working key stays served even when it alone exceeds the budget).
+// Eviction never invalidates a queue a solver already holds: queues are
+// handed out as shared_ptr<const ...>.
 
 #ifndef SLADE_ENGINE_OPQ_CACHE_H_
 #define SLADE_ENGINE_OPQ_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -48,7 +53,8 @@ struct OpqCacheOptions {
   uint64_t max_bytes = 0;
   /// Evict LRU entries beyond this many entries (0 = unbounded).
   uint64_t max_entries = 0;
-  /// Lock shards; floored at 1, clamped to max_entries when that is set.
+  /// Lock shards, over profiles (each profile and salt lives in one shard);
+  /// floored at 1, clamped to max_entries when that is set.
   uint32_t num_shards = 8;
   /// Test hook: profile fingerprints are ANDed with this mask before
   /// keying, so a test can force distinct profiles onto one key and
@@ -61,8 +67,8 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// Lookups whose fingerprint matched an entry with a structurally
-  /// different profile (each such lookup built a distinct chained entry).
+  /// Lookups whose fingerprint matched a structurally different profile
+  /// (or salt); each such lookup started a distinct chained profile.
   uint64_t collisions = 0;
   uint64_t entries = 0;     ///< current resident entries
   uint64_t bytes = 0;       ///< current charged bytes
@@ -86,14 +92,15 @@ struct CacheStats {
 /// \brief Thread-safe, capacity-bounded, sharded LRU memo of BuildOpq
 /// results.
 ///
-/// Keys are (masked profile fingerprint, threshold bit pattern); on a
-/// fingerprint match the stored profile is compared structurally, so two
-/// profiles colliding on the hash never share a queue -- the second gets
-/// its own chained entry. Concurrent lookups of the same key build once;
-/// the racers block on the entry and receive the shared queue. Queues are
-/// handed out as shared_ptr<const ...>, so entries stay valid even if they
-/// are evicted or the cache is cleared while a solve is in flight, and a
-/// racer re-requesting an evicted key simply rebuilds a fresh entry.
+/// Profiles are keyed by their masked fingerprint; on a fingerprint match
+/// the stored profile is compared structurally, so two profiles colliding
+/// on the hash never share a queue -- the second gets its own chained set
+/// of entries. Within one profile, builds run one at a time and a lookup
+/// that waited for a build searches again before it builds, so each
+/// interval is built at most once while it is resident and the hit/miss
+/// counts do not depend on thread timing. Queues are handed out as
+/// shared_ptr<const ...>, so they stay valid even if their entry is
+/// evicted or the cache is cleared while a solve is in flight.
 class OpqCache {
  public:
   struct Lookup {
@@ -106,20 +113,23 @@ class OpqCache {
   OpqCache(const OpqCache&) = delete;
   OpqCache& operator=(const OpqCache&) = delete;
 
-  /// Returns the memoized queue for (profile, threshold), building it on
-  /// first use. A failed build is memoized too (same inputs would fail the
-  /// same way) and its Status is returned to every caller of the key.
+  /// Returns the memoized queue whose key interval holds the threshold's
+  /// decision key, building it on first use. The queue equals a fresh
+  /// BuildOpq at `threshold` element for element; its theta() is that of
+  /// the build that made it. A failed build is memoized too, under the
+  /// exact threshold (same inputs would fail the same way), and its Status
+  /// is returned to every caller of that threshold.
   ///
-  /// `salt` is folded into the fingerprint half of the key and stored on
-  /// the entry: callers serving many platforms pass a per-(platform,
-  /// epoch) salt so structurally identical profiles from different
-  /// platforms (or epochs of one platform) never share an entry, and
-  /// EvictBySalt can drop exactly one platform-epoch's entries.
+  /// `salt` is folded into the profile's fingerprint and stored with its
+  /// entries: callers serving many platforms pass a per-(platform, epoch)
+  /// salt so structurally identical profiles from different platforms (or
+  /// epochs of one platform) never share an entry, and EvictBySalt can
+  /// drop exactly one platform-epoch's entries.
   Result<Lookup> GetOrBuild(const BinProfile& profile, double threshold,
                             const OpqBuildOptions& options = {},
                             uint64_t salt = 0);
 
-  /// Number of distinct entries currently held (built or failed).
+  /// Number of entries currently held (built intervals plus failures).
   size_t size() const;
 
   /// Cumulative lookup counters across the cache's lifetime (they survive
@@ -153,54 +163,65 @@ class OpqCache {
   static uint64_t ProfileFingerprint(const BinProfile& profile);
 
  private:
-  using Key = std::pair<uint64_t, uint64_t>;  // (fingerprint, threshold bits)
-
+  /// One memoized build: a queue answering every key of its interval, or
+  /// a failure answering its exact threshold.
   struct Entry {
-    // Immutable after creation.
-    std::vector<TaskBin> profile_bins;  ///< structural identity (collision guard)
-    uint64_t salt = 0;  ///< caller-supplied namespace (platform epoch)
-
-    // Guarded by build_mutex.
-    std::mutex build_mutex;
-    bool done = false;
-    std::shared_ptr<const OptimalPriorityQueue> queue;  // null on failure
+    std::shared_ptr<const OptimalPriorityQueue> queue;  ///< null on failure
     Status error;
+    uint64_t threshold_bits = 0;  ///< a failure's key
+    uint64_t charged_bytes = 0;   ///< what eviction must release
+    uint64_t last_used = 0;       ///< global tick of the latest touch
+  };
+
+  /// Every entry of one (masked fingerprint, salt, profile).
+  struct Group {
+    Group(uint64_t salt, std::vector<TaskBin> bins)
+        : salt(salt), profile_bins(std::move(bins)) {}
+
+    // Immutable after creation.
+    const uint64_t salt;  ///< caller-supplied namespace (platform epoch)
+    const std::vector<TaskBin> profile_bins;  ///< collision guard
+
+    /// Builds of this profile run one at a time.
+    std::mutex build_mutex;
 
     // Guarded by the owning shard's mutex.
     bool resident = true;        ///< still linked into the shard
-    uint64_t charged_bytes = 0;  ///< what eviction must release
-    uint64_t last_used = 0;      ///< global tick of the latest touch
-  };
-
-  struct Node {
-    Key key;
-    std::shared_ptr<Entry> entry;
+    uint64_t charged_bytes = 0;  ///< the profile copy's charge
+    /// Built entries by their key interval's hi; the intervals are
+    /// disjoint, so the first hi >= key is the only candidate.
+    std::map<double, Entry> built;
+    /// Failures by the threshold's bit pattern.
+    std::map<uint64_t, Entry> failed;
   };
 
   struct Shard {
     mutable std::mutex mutex;
-    /// Recency order, front = most recent. Eviction pops the back.
-    std::list<Node> lru;
-    /// Key -> chained entries (one per structurally distinct profile).
-    std::map<Key, std::vector<std::list<Node>::iterator>> index;
+    /// Masked fingerprint -> chained groups (one per structurally distinct
+    /// profile or salt).
+    std::unordered_multimap<uint64_t, std::shared_ptr<Group>> groups;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t collisions = 0;
   };
 
-  Shard& ShardOf(const Key& key);
-  /// Unlinks the node at `it` from `shard`, releasing its governor charge
-  /// and bumping the eviction counter. Requires shard.mutex held.
-  void EvictNodeLocked(Shard* shard, std::list<Node>::iterator it);
-  /// Evicts the globally stalest evictable entry (never `keep`); locks one
-  /// shard at a time. Returns false when nothing but `keep` is left.
-  bool EvictOneGlobal(const Entry* keep);
-  /// Runs EvictOneGlobal until the governor is back under capacity (or
-  /// nothing is evictable). Call without any shard lock held.
+  /// The entry answering (key, threshold_bits) in `group`, or null; a
+  /// threshold without a valid key only matches failures. Requires the
+  /// shard mutex.
+  static Entry* FindLocked(Group& group, bool valid, double key,
+                           uint64_t threshold_bits);
+  /// Touches `entry`, counts a hit and returns what it memoized. Requires
+  /// the shard mutex.
+  Result<Lookup> HitLocked(Shard* shard, Entry* entry);
+  /// Empties `group`, releases every charge it holds and marks it no
+  /// longer resident; the caller unlinks it from the shard. Returns its
+  /// entry count. Requires the shard mutex.
+  size_t DropGroupLocked(Group* group);
+  /// Evicts the globally stalest entries other than `keep` until the
+  /// governor is back under capacity (or nothing is evictable). Call
+  /// without any shard lock held.
   void EnforceCapacity(const Entry* keep);
-  /// Bytes charged for one resident entry once its build finished.
-  static uint64_t EntryBytes(const Entry& entry);
 
   const OpqCacheOptions options_;
   ResourceGovernor governor_;

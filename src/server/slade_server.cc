@@ -680,6 +680,23 @@ std::string SladeServer::HandleStats() {
   w.Value(engine_stats.duplicate_hits);
   w.EndObject();
 
+  const CacheStats cache_stats = engine_->cache().stats();
+  w.Key("opq_cache");
+  w.BeginObject();
+  w.Key("hits");
+  w.Value(cache_stats.hits);
+  w.Key("misses");
+  w.Value(cache_stats.misses);
+  w.Key("builds");
+  w.Value(cache_stats.builds);
+  w.Key("entries");
+  w.Value(cache_stats.entries);
+  w.Key("bytes");
+  w.Value(cache_stats.bytes);
+  w.Key("build_seconds");
+  w.Value(cache_stats.build_seconds);
+  w.EndObject();
+
   if (options_.journal != nullptr) {
     const JournalStats journal_stats = options_.journal->stats();
     w.Key("durability");

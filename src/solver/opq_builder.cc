@@ -20,10 +20,6 @@ struct Cand {
   double log_weight = 0.0;
 };
 
-// Acceptance margin for the threshold check. Stricter than kRelEps so that
-// plans built from accepted combinations still validate under kRelEps.
-constexpr double kBuildEps = 1e-12;
-
 // Frames preallocated for the iterative DFS. Realistic profiles need a
 // stack no deeper than theta / min_log_weight (a dozen or two); the cap
 // keeps an adversarial bound (tiny log-weights) from reserving gigabytes.
@@ -33,12 +29,13 @@ constexpr size_t kMaxPreallocFrames = 4096;
 
 // The reference enumerator: the original recursive Algorithm 2
 // implementation, kept as the differential-test oracle. One heap-copied
-// Cand per visited node, O(queue) dominance scans.
+// Cand per visited node, O(queue) dominance scans. `key` is the decision
+// key (OpqDecisionKey); every node it judges is folded into interval().
 class ReferenceEnumerator {
  public:
-  ReferenceEnumerator(const BinProfile& profile, double theta,
+  ReferenceEnumerator(const BinProfile& profile, double key,
                       const OpqBuildOptions& options, OpqBuildStats* stats)
-      : profile_(profile), theta_(theta), options_(options), stats_(stats) {}
+      : profile_(profile), key_(key), options_(options), stats_(stats) {}
 
   Status Run() {
     Cand root;
@@ -49,6 +46,7 @@ class ReferenceEnumerator {
   }
 
   std::vector<Cand> TakeQueue() { return std::move(queue_); }
+  const OpqKeyInterval& interval() const { return interval_; }
 
  private:
   // True iff some already-found combination weakly dominates (lcm, uc).
@@ -98,7 +96,8 @@ class ReferenceEnumerator {
         continue;
       }
 
-      if (next.log_weight >= theta_ - kBuildEps) {
+      if (next.log_weight >= key_) {
+        interval_.hi = std::min(interval_.hi, next.log_weight);
         if (!Dominated(next.lcm, next.unit_cost)) {
           Insert(std::move(next));
         } else {
@@ -106,6 +105,7 @@ class ReferenceEnumerator {
         }
         // No recursion: any superset is dominated by `next` itself.
       } else {
+        interval_.lo = std::max(interval_.lo, next.log_weight);
         SLADE_RETURN_NOT_OK(Enumerate(k, next));
       }
     }
@@ -113,11 +113,12 @@ class ReferenceEnumerator {
   }
 
   const BinProfile& profile_;
-  const double theta_;
+  const double key_;
   const OpqBuildOptions& options_;
   OpqBuildStats* stats_;
   std::vector<Cand> queue_;
   OpqBuildStats counters_;
+  OpqKeyInterval interval_;
 };
 
 // The production enumerator: iterative DFS, one in-place count array, flat
@@ -125,13 +126,13 @@ class ReferenceEnumerator {
 // sorted by LCM descending / unit cost ascending. Visits nodes in exactly
 // the order of ReferenceEnumerator (k ascending per level, child before
 // next sibling) and accumulates unit cost / log weight with the identical
-// addition sequence, so the resulting queue -- and every counter -- is
-// element-for-element identical.
+// addition sequence, so the resulting queue -- and every counter, and the
+// key interval -- is element-for-element identical.
 class FastEnumerator {
  public:
-  FastEnumerator(const BinProfile& profile, double theta,
+  FastEnumerator(const BinProfile& profile, double key,
                  const OpqBuildOptions& options, OpqBuildStats* stats)
-      : profile_(profile), theta_(theta), options_(options), stats_(stats) {}
+      : profile_(profile), key_(key), options_(options), stats_(stats) {}
 
   Status Run() {
     const uint32_t m = profile_.max_cardinality();
@@ -164,20 +165,23 @@ class FastEnumerator {
       return a_over_g * k;
     };
 
-    // The DFS only descends while log_weight < theta and each level adds
+    // The DFS only descends while log_weight < key and each level adds
     // at least min_log_weight, which bounds the path length exactly.
     const double depth_bound =
-        std::floor(theta_ / profile_.min_log_weight()) + 2.0;
+        std::floor(key_ / profile_.min_log_weight()) + 2.0;
     stack_.clear();
-    stack_.reserve(static_cast<size_t>(std::min(
-        depth_bound, static_cast<double>(kMaxPreallocFrames))));
+    stack_.reserve(static_cast<size_t>(std::clamp(
+        depth_bound, 1.0, static_cast<double>(kMaxPreallocFrames))));
     constexpr double kNoWitness = std::numeric_limits<double>::infinity();
     stack_.push_back(Frame{1, 0, 1, 0.0, 0.0, kNoWitness});
 
-    // The node counter lives in a register for the hot loop and is synced
-    // into counters_ on every exit path.
+    // The node counter and the key interval's ends live in registers for
+    // the hot loop; the counter is synced into counters_ on every exit
+    // path, the interval once the enumeration completes.
     uint64_t nodes = 0;
     const uint64_t node_budget = options_.node_budget;
+    double lo = interval_.lo;
+    double hi = interval_.hi;
 
     while (!stack_.empty()) {
       Frame& frame = stack_.back();
@@ -198,7 +202,7 @@ class FastEnumerator {
       }
       const double unit_cost = frame.unit_cost + cost_per_task[k - 1];
       const double log_weight = frame.log_weight + log_weights[k - 1];
-      const bool satisfied = log_weight >= theta_ - kBuildEps;
+      const bool satisfied = log_weight >= key_;
 
       // Witness shortcut: when this frame was pushed it cached the
       // cheapest frontier unit cost among elements with lcm' <= frame.lcm
@@ -212,9 +216,12 @@ class FastEnumerator {
       // dominator whose LCM lies strictly between frame.lcm and the
       // child's -- simply fall through to the exact check. Sub-threshold
       // nodes with pruning disabled must still descend, so the shortcut
-      // is gated exactly like the checks below.
+      // is gated exactly like the checks below -- which makes `satisfied`
+      // steer this branch, and the key interval must hold it, exactly when
+      // pruning is disabled.
       if ((options_.enable_partial_pruning || satisfied) &&
           frame.witness_uc <= unit_cost) {
+        if (!options_.enable_partial_pruning) hi = std::min(hi, log_weight);
         ++counters_.nodes_pruned_dominated;
         continue;
       }
@@ -227,7 +234,9 @@ class FastEnumerator {
         ++counters_.nodes_pruned_dominated;
         continue;
       }
+      // Every node that gets here is judged against the key.
       if (satisfied) {
+        hi = std::min(hi, log_weight);
         if (!dominated) {
           ++counts_[k - 1];
           Insert(lcm, unit_cost, log_weight);
@@ -240,6 +249,7 @@ class FastEnumerator {
         // Descend; the binary search above doubles as the child frame's
         // witness lookup (`first` indexes the cheapest element with
         // lcm' <= the child's own LCM).
+        lo = std::max(lo, log_weight);
         ++counts_[k - 1];
         const double witness_uc = first < frontier_.size()
                                       ? frontier_[first].unit_cost
@@ -250,8 +260,11 @@ class FastEnumerator {
     }
     counters_.nodes_visited = nodes;
     if (stats_ != nullptr) *stats_ = counters_;
+    interval_ = OpqKeyInterval{lo, hi};
     return Status::OK();
   }
+
+  const OpqKeyInterval& interval() const { return interval_; }
 
   std::vector<Cand> TakeQueue() {
     // Rebuild the Cand representation FinalizeOpq expects; the frontier is
@@ -336,13 +349,14 @@ class FastEnumerator {
   }
 
   const BinProfile& profile_;
-  const double theta_;
+  const double key_;
   const OpqBuildOptions& options_;
   OpqBuildStats* stats_;
   std::vector<uint32_t> counts_;
   std::vector<Frame> stack_;
   std::vector<Elem> frontier_;
   OpqBuildStats counters_;
+  OpqKeyInterval interval_;
 };
 
 Result<Combination> ToCombination(const Cand& cand,
@@ -356,32 +370,30 @@ Result<Combination> ToCombination(const Cand& cand,
   return Combination::Create(std::move(parts), profile);
 }
 
-// Shared post-processing: unit-LCM fallback, Combination conversion and the
-// Definition 4 ordering. Both builders funnel through here so they can only
-// differ in how they enumerate, never in what a queue looks like.
+// Shared post-processing: Combination conversion and the Definition 4
+// ordering. Both builders funnel through here so they can only differ in
+// how they enumerate, never in what a queue looks like.
+//
+// A successful build always holds an LCM-1 element, which is what lets
+// Algorithm 3 make progress: the DFS visits the all-b1 chain {b1},
+// {2 x b1}, ... before anything else; the chain's first satisfied node is
+// inserted into a still-empty frontier (nothing can dominate it), with
+// LCM 1; and an element with LCM 1 is only ever evicted by a newcomer of
+// LCM <= 1. Nothing here reads the threshold, so the queue depends on the
+// enumeration's judgments alone -- the premise of the key interval.
 Result<OptimalPriorityQueue> FinalizeOpq(std::vector<Cand> cands,
                                          const BinProfile& profile,
-                                         double theta) {
-  // Defensive: the pure-b1 combination guarantees an LCM=1 element, which
-  // in turn guarantees Algorithm 3 can always make progress. The DFS always
-  // finds one (or something dominating it); re-add if numerical edge cases
-  // ever dropped it.
-  const bool has_unit = std::any_of(cands.begin(), cands.end(),
-                                    [](const Cand& c) { return c.lcm == 1; });
+                                         double theta,
+                                         const OpqKeyInterval& interval) {
+  if (std::none_of(cands.begin(), cands.end(),
+                   [](const Cand& c) { return c.lcm == 1; })) {
+    return Status::Internal("OPQ has no LCM-1 element");
+  }
   std::vector<Combination> elements;
-  elements.reserve(cands.size() + 1);
+  elements.reserve(cands.size());
   for (const Cand& cand : cands) {
     SLADE_ASSIGN_OR_RETURN(Combination c, ToCombination(cand, profile));
     elements.push_back(std::move(c));
-  }
-  if (!has_unit) {
-    const TaskBin& b1 = profile.bin(1);
-    const uint32_t copies = static_cast<uint32_t>(
-        std::ceil(theta / b1.log_weight() - kBuildEps));
-    SLADE_ASSIGN_OR_RETURN(
-        Combination fallback,
-        Combination::Create({{1, std::max(copies, 1u)}}, profile));
-    elements.push_back(std::move(fallback));
   }
 
   // Condition (1) of Definition 4: descending LCM. Dominance removal makes
@@ -391,7 +403,7 @@ Result<OptimalPriorityQueue> FinalizeOpq(std::vector<Cand> cands,
               if (a.lcm() != b.lcm()) return a.lcm() > b.lcm();
               return a.unit_cost() < b.unit_cost();
             });
-  return OptimalPriorityQueue(std::move(elements), theta);
+  return OptimalPriorityQueue(std::move(elements), theta, interval);
 }
 
 Status ValidateThreshold(double t) {
@@ -405,8 +417,11 @@ Status ValidateThreshold(double t) {
 }  // namespace
 
 OptimalPriorityQueue::OptimalPriorityQueue(std::vector<Combination> elements,
-                                           double theta)
-    : elements_(std::move(elements)), theta_(theta) {}
+                                           double theta,
+                                           OpqKeyInterval interval)
+    : elements_(std::move(elements)),
+      theta_(theta),
+      key_interval_(interval) {}
 
 size_t OptimalPriorityQueue::EstimatedBytes() const {
   size_t bytes = sizeof(*this) + elements_.capacity() * sizeof(Combination);
@@ -428,10 +443,10 @@ Result<OptimalPriorityQueue> BuildOpq(const BinProfile& profile, double t,
                                       const OpqBuildOptions& options,
                                       OpqBuildStats* stats) {
   SLADE_RETURN_NOT_OK(ValidateThreshold(t));
-  const double theta = LogReduction(t);
-  FastEnumerator enumerator(profile, theta, options, stats);
+  FastEnumerator enumerator(profile, OpqDecisionKey(t), options, stats);
   SLADE_RETURN_NOT_OK(enumerator.Run());
-  return FinalizeOpq(enumerator.TakeQueue(), profile, theta);
+  return FinalizeOpq(enumerator.TakeQueue(), profile, LogReduction(t),
+                     enumerator.interval());
 }
 
 Result<OptimalPriorityQueue> BuildOpqReference(const BinProfile& profile,
@@ -439,10 +454,10 @@ Result<OptimalPriorityQueue> BuildOpqReference(const BinProfile& profile,
                                                const OpqBuildOptions& options,
                                                OpqBuildStats* stats) {
   SLADE_RETURN_NOT_OK(ValidateThreshold(t));
-  const double theta = LogReduction(t);
-  ReferenceEnumerator enumerator(profile, theta, options, stats);
+  ReferenceEnumerator enumerator(profile, OpqDecisionKey(t), options, stats);
   SLADE_RETURN_NOT_OK(enumerator.Run());
-  return FinalizeOpq(enumerator.TakeQueue(), profile, theta);
+  return FinalizeOpq(enumerator.TakeQueue(), profile, LogReduction(t),
+                     enumerator.interval());
 }
 
 }  // namespace slade

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <random>
+
+#include "binmodel/profile_model.h"
 #include "plan_signature.h"
 #include "solver/opq_solver.h"
 #include "solver/plan_validator.h"
@@ -188,6 +194,50 @@ TEST(DecompositionEngineTest, IsolatedModeStillSharesTheOpqCache) {
   ASSERT_EQ(report->shards.size(), 3u);
   EXPECT_EQ(report->opq_cache_misses, 1u);
   EXPECT_EQ(report->opq_cache_hits, 2u);
+}
+
+TEST(DecompositionEngineTest, WarmIntervalCacheSolvesLikeAFreshCache) {
+  // Serving-tape-like batches: 1-3 tasks of 10-30 atomic tasks each, with
+  // thresholds N(0.9, 0.03) clamped to [0.5, 0.995] at six decimals, so
+  // almost every top surrogate threshold is new. One engine solves them all
+  // on a warm cache, whose entries each answer a whole key interval; every
+  // plan and the bits of every total cost must equal those of a fresh
+  // engine per batch, and the plan the sequential reference loop makes.
+  const BinProfile profile =
+      BuildProfile(MakeModel(DatasetKind::kJelly), 10).ValueOrDie();
+  EngineOptions options;
+  options.num_threads = 2;
+  options.sharing = BatchSharing::kIsolated;
+  DecompositionEngine warm(options);
+  std::mt19937_64 rng(4242);
+  std::normal_distribution<double> normal(0.9, 0.03);
+  for (int b = 0; b < 300; ++b) {
+    std::vector<CrowdsourcingTask> tasks;
+    for (int k = 0; k < 1 + b % 3; ++k) {
+      std::vector<double> thresholds(10 + (b * 7 + k * 3) % 21);
+      for (double& t : thresholds) {
+        t = std::round(std::clamp(normal(rng), 0.5, 0.995) * 1e6) / 1e6;
+      }
+      tasks.push_back(
+          CrowdsourcingTask::FromThresholds(std::move(thresholds))
+              .ValueOrDie());
+    }
+    auto shared = warm.SolveBatch(tasks, profile);
+    DecompositionEngine fresh_engine(options);
+    auto fresh = fresh_engine.SolveBatch(tasks, profile);
+    auto sequential = SolveBatchSequential(tasks, profile);
+    ASSERT_TRUE(shared.ok() && fresh.ok() && sequential.ok());
+    const std::string signature = PlanSignature(shared->plan);
+    EXPECT_EQ(signature, PlanSignature(fresh->plan)) << "batch " << b;
+    EXPECT_EQ(signature, PlanSignature(sequential->plan)) << "batch " << b;
+    uint64_t shared_bits = 0, fresh_bits = 0;
+    std::memcpy(&shared_bits, &shared->total_cost, sizeof(shared_bits));
+    std::memcpy(&fresh_bits, &fresh->total_cost, sizeof(fresh_bits));
+    EXPECT_EQ(shared_bits, fresh_bits) << "batch " << b;
+  }
+  const CacheStats stats = warm.cache().stats();
+  EXPECT_LT(stats.entries, 100u);  // bounded by the profile, not the tape
+  EXPECT_GT(stats.hit_rate(), 0.9);
 }
 
 TEST(ConcatenateTasksTest, PreservesOrderAndThresholds) {

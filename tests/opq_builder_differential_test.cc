@@ -1,12 +1,19 @@
 // Differential validation of the production iterative OPQ builder against
 // the recursive reference enumerator it replaced: element-for-element
-// identical queues and identical build statistics on randomized
+// identical queues, key intervals and build statistics on randomized
 // (profile, threshold) pairs, in both pruning modes; unified node/budget
-// accounting; and survival of adversarially deep profiles that overflow
-// the reference's call stack.
+// accounting; survival of adversarially deep profiles that overflow the
+// reference's call stack; and exactness of the key interval, against fresh
+// builds inside it and at both of its ends.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "binmodel/profile_model.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "solver/opq_builder.h"
@@ -74,7 +81,12 @@ TEST(OpqBuilderDifferentialTest, MatchesReferenceOnRandomizedPairs) {
                                 (pruning ? " pruned" : " full");
       ExpectIdentical(*fast, *reference, label);
       // The enumerations are step-for-step equivalent, so every counter
-      // must agree exactly, not just the queues.
+      // and the key interval must agree exactly, not just the queues.
+      EXPECT_EQ(fast->key_interval().lo, reference->key_interval().lo)
+          << label;
+      EXPECT_EQ(fast->key_interval().hi, reference->key_interval().hi)
+          << label;
+      EXPECT_TRUE(fast->key_interval().Contains(OpqDecisionKey(t))) << label;
       EXPECT_EQ(fast_stats.nodes_visited, ref_stats.nodes_visited) << label;
       EXPECT_EQ(fast_stats.nodes_pruned_dominated,
                 ref_stats.nodes_pruned_dominated)
@@ -83,6 +95,104 @@ TEST(OpqBuilderDifferentialTest, MatchesReferenceOnRandomizedPairs) {
     }
   }
   EXPECT_GE(pairs, 100);
+}
+
+// Positive doubles order like their bit patterns, so bisecting the bits
+// walks the thresholds one representable step at a time.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// The largest threshold in [a, b) whose decision key is <= `bound`, given
+// OpqDecisionKey(a) <= bound < OpqDecisionKey(b).
+double LastThresholdWithKeyAtMost(double bound, double a, double b) {
+  uint64_t lo = Bits(a);
+  uint64_t hi = Bits(b);
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (OpqDecisionKey(FromBits(mid)) <= bound) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return FromBits(lo);
+}
+
+TEST(OpqBuilderDifferentialTest, KeyIntervalIsExactInsideAndAtItsEnds) {
+  // For builds at random thresholds on the paper's and the datasets'
+  // profiles: fresh builds at random keys inside the reported interval and
+  // at the thresholds whose keys lie closest inside each end return the
+  // same queue and interval, and the builds just past either end report
+  // an interval that starts (or stops) exactly there, so intervals tile.
+  const BinProfile profiles[] = {
+      BinProfile::PaperExample(), BuildProfile(JellyModel(), 10).ValueOrDie(),
+      BuildProfile(SmicModel(), 8).ValueOrDie(),
+      BuildProfile(SmicModel(), 20).ValueOrDie()};
+  const double kFirst = std::numeric_limits<double>::denorm_min();
+  const double kLast = std::nextafter(1.0, 0.0);
+  Xoshiro256 rng(0x1e7e1);
+  for (const BinProfile& profile : profiles) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const double t = rng.NextDouble(0.55, 0.995);
+      auto built = BuildOpq(profile, t);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const OpqKeyInterval interval = built->key_interval();
+      const std::string label = "m=" +
+                                std::to_string(profile.max_cardinality()) +
+                                " t=" + std::to_string(t);
+      ASSERT_TRUE(interval.Contains(OpqDecisionKey(t))) << label;
+      auto reference = BuildOpqReference(profile, t);
+      ASSERT_TRUE(reference.ok());
+      EXPECT_EQ(reference->key_interval().lo, interval.lo) << label;
+      EXPECT_EQ(reference->key_interval().hi, interval.hi) << label;
+
+      const auto expect_same = [&](double probe, const std::string& where) {
+        ASSERT_TRUE(interval.Contains(OpqDecisionKey(probe)))
+            << label << " " << where;
+        auto fresh = BuildOpq(profile, probe);
+        ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+        ExpectIdentical(*fresh, *built, label + " " + where);
+        EXPECT_EQ(fresh->key_interval().lo, interval.lo) << label << where;
+        EXPECT_EQ(fresh->key_interval().hi, interval.hi) << label << where;
+      };
+
+      // Random interior keys, mapped back to thresholds.
+      const double lo_key = std::isfinite(interval.lo)
+                                ? interval.lo
+                                : OpqDecisionKey(kFirst);
+      for (int i = 0; i < 4; ++i) {
+        const double key = rng.NextDouble(lo_key, interval.hi);
+        const double probe = std::clamp(
+            InverseLogReduction(key + kOpqBuildEps), kFirst, kLast);
+        if (!interval.Contains(OpqDecisionKey(probe))) continue;
+        expect_same(probe, "interior");
+      }
+
+      // The top end: the last threshold whose key is <= hi, then the next.
+      const double top = LastThresholdWithKeyAtMost(interval.hi, t, kLast);
+      expect_same(top, "top end");
+      auto past_top = BuildOpq(profile, std::nextafter(top, 1.0));
+      ASSERT_TRUE(past_top.ok());
+      EXPECT_EQ(past_top->key_interval().lo, interval.hi) << label;
+
+      // The bottom end, when some node was judged unsatisfied.
+      if (!std::isfinite(interval.lo)) continue;
+      const double below = LastThresholdWithKeyAtMost(interval.lo, kFirst, t);
+      expect_same(std::nextafter(below, 1.0), "bottom end");
+      auto past_bottom = BuildOpq(profile, below);
+      ASSERT_TRUE(past_bottom.ok());
+      EXPECT_EQ(past_bottom->key_interval().hi, interval.lo) << label;
+    }
+  }
 }
 
 TEST(OpqBuilderDifferentialTest, PruningAblationIsIdenticalOutput) {

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "binmodel/profile_model.h"
 #include "common/math_util.h"
 
 namespace slade {
 namespace {
+
+std::vector<Combination::Parts> PartsOf(const OptimalPriorityQueue& opq) {
+  std::vector<Combination::Parts> parts;
+  for (const Combination& c : opq.elements()) parts.push_back(c.parts());
+  return parts;
+}
 
 TEST(OpqBuilderTest, ReproducesTable3) {
   // t = 0.95 on the Table 1 profile -> {2xb3} 0.16/3, {2xb2} 0.18/2,
@@ -79,6 +88,8 @@ TEST_P(OpqInvariantTest, DefinitionFourInvariantsHold) {
   }
   // An LCM=1 element always survives (Algorithm 3's termination guarantee).
   EXPECT_EQ(opq->element(opq->size() - 1).lcm(), 1u);
+  // The build's own decision key lies in the interval it reports.
+  EXPECT_TRUE(opq->key_interval().Contains(OpqDecisionKey(t)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,6 +158,34 @@ TEST(OpqBuilderTest, SingleBinProfileDegenerates) {
   ASSERT_EQ(opq->size(), 1u);
   Combination::Parts expected = {{1, 2}};  // 2*w(0.9)=4.6 >= 2.996
   EXPECT_EQ(opq->front().parts(), expected);
+}
+
+TEST(OpqBuilderTest, BinConfidenceThresholdsSitJustBelowAnIntervalEnd) {
+  // At t equal to a bin's confidence, that bin alone has log-weight
+  // LogReduction(t), which the key undercuts by kOpqBuildEps: the bin is
+  // judged satisfied, and it ends the interval. One key past that end the
+  // bin is judged unsatisfied, so the next interval starts exactly there.
+  const BinProfile profile = BinProfile::PaperExample();
+  for (uint32_t l = 1; l <= 3; ++l) {
+    const double t = profile.bin(l).confidence;
+    const double key = OpqDecisionKey(t);
+    auto at = BuildOpq(profile, t);
+    ASSERT_TRUE(at.ok());
+    const OpqKeyInterval interval = at->key_interval();
+    EXPECT_TRUE(interval.Contains(key)) << "l=" << l;
+    EXPECT_EQ(interval.hi, profile.bin(l).log_weight()) << "l=" << l;
+    EXPECT_NEAR(interval.hi - key, kOpqBuildEps, 1e-15) << "l=" << l;
+
+    // Walk t up until its key passes hi (about a thousand steps).
+    double past = t;
+    while (OpqDecisionKey(past) <= interval.hi) {
+      past = std::nextafter(past, 1.0);
+    }
+    auto next = BuildOpq(profile, past);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next->key_interval().lo, interval.hi) << "l=" << l;
+    EXPECT_NE(PartsOf(*next), PartsOf(*at)) << "l=" << l;
+  }
 }
 
 TEST(OpqBuilderTest, StatsAreRecorded) {

@@ -2,17 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "binmodel/profile_model.h"
+#include "plan_signature.h"
 #include "solver/opq_solver.h"
 #include "solver/plan.h"
 
 namespace slade {
 namespace {
+
+// Element for element: same LCM, unit cost bits and parts.
+bool SameQueue(const OptimalPriorityQueue& a, const OptimalPriorityQueue& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a.element(i).lcm() != b.element(i).lcm() ||
+        a.element(i).unit_cost() != b.element(i).unit_cost() ||
+        a.element(i).parts() != b.element(i).parts()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
 
 TEST(OpqCacheTest, MissThenHit) {
   OpqCache cache;
@@ -312,25 +337,33 @@ TEST(OpqCacheTest, EvictedQueueStaysValidForHolderAndRebuildsForRacers) {
 TEST(OpqCacheTest, ConcurrentLookupsUnderTinyCapacityStayConsistent) {
   // Threads hammer overlapping keys against a 2-entry cache, so builds,
   // hits and evictions race constantly. Every lookup must still return a
-  // usable queue built for its own threshold. This is the ASan/TSan
-  // payload for eviction racing an in-flight build.
+  // usable queue whose interval holds its own key and which equals a fresh
+  // build at its own threshold. This is the ASan/TSan payload for eviction
+  // racing an in-flight build.
   OpqCacheOptions options;
   options.max_entries = 2;
   OpqCache cache(options);
   auto profile = BinProfile::PaperExample();
   const double thresholds[] = {0.80, 0.85, 0.90, 0.92, 0.95};
+  std::vector<OptimalPriorityQueue> fresh;
+  for (double t : thresholds) {
+    fresh.push_back(BuildOpq(profile, t).ValueOrDie());
+  }
   constexpr int kThreads = 8;
   constexpr int kIters = 40;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&cache, &profile, &thresholds, &failures, i] {
+    threads.emplace_back([&cache, &profile, &thresholds, &fresh, &failures,
+                          i] {
       for (int iter = 0; iter < kIters; ++iter) {
-        const double t = thresholds[(i * 7 + iter) % 5];
+        const int which = (i * 7 + iter) % 5;
+        const double t = thresholds[which];
         auto lookup = cache.GetOrBuild(profile, t);
         if (!lookup.ok() || lookup->queue == nullptr ||
-            lookup->queue->theta() != LogReduction(t) ||
+            !lookup->queue->key_interval().Contains(OpqDecisionKey(t)) ||
+            !SameQueue(*lookup->queue, fresh[which]) ||
             lookup->queue->elements().back().lcm() != 1) {
           failures.fetch_add(1);
         }
@@ -350,7 +383,9 @@ TEST(OpqCacheTest, ShardedCacheAggregatesAcrossShards) {
   options.num_shards = 4;
   OpqCache cache(options);
   auto profile = BinProfile::PaperExample();
-  const double thresholds[] = {0.80, 0.85, 0.90, 0.92, 0.95};
+  // Five thresholds in five key intervals (0.97's key, 3.507, lies above
+  // the interval (2.3026, 3.2189] that 0.92 opens).
+  const double thresholds[] = {0.80, 0.85, 0.90, 0.92, 0.97};
   for (double t : thresholds) ASSERT_TRUE(cache.GetOrBuild(profile, t).ok());
   for (double t : thresholds) {
     auto lookup = cache.GetOrBuild(profile, t);
@@ -364,6 +399,56 @@ TEST(OpqCacheTest, ShardedCacheAggregatesAcrossShards) {
   EXPECT_EQ(stats.entries, 5u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_EQ(stats.peak_bytes, stats.bytes);  // nothing was evicted
+
+  // No node's log-weight lies between the keys of 0.92 and 0.95, so both
+  // build {2 x b3} {2 x b2} {2 x b1} and share one entry.
+  auto at_92 = cache.GetOrBuild(profile, 0.92);
+  auto at_95 = cache.GetOrBuild(profile, 0.95);
+  ASSERT_TRUE(at_92.ok() && at_95.ok());
+  EXPECT_TRUE(at_95->hit);
+  EXPECT_EQ(at_95->queue.get(), at_92->queue.get());
+  EXPECT_EQ(cache.size(), 5u);
+}
+
+TEST(OpqCacheTest, ContinuousThresholdsHoldOneEntryPerInterval) {
+  // 20,000 continuous thresholds, as serving traffic submits them: the
+  // cache holds exactly one entry per distinct key interval, every lookup
+  // returns the queue a fresh build at its own threshold returns, and the
+  // plans Algorithm 3 makes from the two are bit-identical.
+  const BinProfile profile = BuildProfile(JellyModel(), 10).ValueOrDie();
+  OpqCache cache;
+  std::mt19937_64 rng(20261020);
+  std::normal_distribution<double> normal(0.9, 0.03);
+  std::set<std::pair<uint64_t, uint64_t>> intervals;
+  std::vector<TaskId> ids(60);
+  std::iota(ids.begin(), ids.end(), 0);
+  constexpr int kLookups = 20000;
+  for (int i = 0; i < kLookups; ++i) {
+    const double t = std::clamp(normal(rng), 0.5, 0.995);
+    auto cached = cache.GetOrBuild(profile, t);
+    auto fresh = BuildOpq(profile, t);
+    ASSERT_TRUE(cached.ok() && fresh.ok());
+    ASSERT_TRUE(SameQueue(*cached->queue, *fresh)) << "t=" << t;
+    intervals.emplace(Bits(fresh->key_interval().lo),
+                      Bits(fresh->key_interval().hi));
+
+    const size_t n = 10 + static_cast<size_t>(i % 51);
+    DecompositionPlan from_cache, from_fresh;
+    ASSERT_TRUE(RunOpqAssignment(*cached->queue, ids.data(), n, profile,
+                                 &from_cache)
+                    .ok());
+    ASSERT_TRUE(
+        RunOpqAssignment(*fresh, ids.data(), n, profile, &from_fresh).ok());
+    ASSERT_EQ(PlanSignature(from_cache), PlanSignature(from_fresh))
+        << "t=" << t;
+    ASSERT_EQ(Bits(from_cache.TotalCost(profile)),
+              Bits(from_fresh.TotalCost(profile)))
+        << "t=" << t;
+  }
+  EXPECT_EQ(cache.size(), intervals.size());
+  EXPECT_EQ(cache.misses(), intervals.size());
+  EXPECT_EQ(cache.hits(), kLookups - intervals.size());
+  EXPECT_LT(intervals.size(), 100u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "binmodel/profile_model.h"
 #include "durability/journal.h"
 #include "engine/streaming_engine.h"
+#include "server/json.h"
 #include "server/slade_server.h"
 
 namespace slade {
@@ -228,14 +230,25 @@ TEST_F(ServerIntegrationTest, ConcurrentSubmitsAllSucceedAndStatsAdd) {
   const uint16_t port = server_->port();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5;
+  // Distinct continuous thresholds per submission, as serving traffic
+  // sends them: tasks {a} and {b, c}.
+  const auto thresholds_of = [](int t, int i) {
+    return std::vector<double>{0.80 + 0.0037 * t + 0.00091 * i,
+                               0.86 + 0.0029 * t + 0.0013 * i,
+                               0.91 + 0.0011 * t + 0.0007 * i};
+  };
   std::vector<std::thread> threads;
   std::vector<int> ok_counts(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string response = PostSubmit(
-            port, "{\"requester\": \"r" + std::to_string(t) +
-                      "\", \"tasks\": [[0.9], [0.85, 0.92]]}");
+        const std::vector<double> th = thresholds_of(t, i);
+        char tasks[96];
+        std::snprintf(tasks, sizeof(tasks), "[[%.6f], [%.6f, %.6f]]", th[0],
+                      th[1], th[2]);
+        const std::string response =
+            PostSubmit(port, "{\"requester\": \"r" + std::to_string(t) +
+                                 "\", \"tasks\": " + tasks + "}");
         if (StatusCodeOf(response) == 200) ok_counts[t] += 1;
       }
     });
@@ -262,6 +275,47 @@ TEST_F(ServerIntegrationTest, ConcurrentSubmitsAllSucceedAndStatsAdd) {
   EXPECT_EQ(StatusCodeOf(stats_response), 200);
   EXPECT_NE(stats_response.find("\"submissions\":40"), std::string::npos)
       << stats_response;
+
+  // The OPQ cache counts one lookup per solved shard. Isolated sharing
+  // cuts each task by its own Algorithm 4 partition, so the shards are
+  // those of one isolated batch over every submitted task, however the
+  // flushes grouped them; continuous thresholds share key intervals, so
+  // no more entries stay resident than were built.
+  std::vector<CrowdsourcingTask> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      // Round as the wire did.
+      std::vector<double> th = thresholds_of(t, i);
+      for (double& x : th) x = std::stod(std::to_string(x));
+      tasks.push_back(CrowdsourcingTask::FromThresholds({th[0]}).ValueOrDie());
+      tasks.push_back(
+          CrowdsourcingTask::FromThresholds({th[1], th[2]}).ValueOrDie());
+    }
+  }
+  EngineOptions isolated;
+  isolated.sharing = BatchSharing::kIsolated;
+  DecompositionEngine reference(isolated);
+  auto report = reference.SolveBatch(
+      tasks, BuildProfile(MakeModel(DatasetKind::kJelly), 6).ValueOrDie());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const size_t body_start = stats_response.find("\r\n\r\n");
+  ASSERT_NE(body_start, std::string::npos);
+  auto stats = JsonValue::Parse(stats_response.substr(body_start + 4));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const JsonValue* cache = stats->Find("opq_cache");
+  ASSERT_NE(cache, nullptr) << stats_response;
+  const auto count = [&](const std::string& key) {
+    const JsonValue* value = cache->Find(key);
+    EXPECT_NE(value, nullptr) << key;
+    return value == nullptr ? -1.0 : value->number;
+  };
+  EXPECT_EQ(count("hits") + count("misses"),
+            static_cast<double>(report->shards.size()));
+  EXPECT_GT(count("entries"), 0.0);
+  EXPECT_LE(count("entries"), count("builds"));
+  EXPECT_GT(count("bytes"), 0.0);
+  EXPECT_GE(count("build_seconds"), 0.0);
 }
 
 TEST_F(ServerIntegrationTest, KeepAliveServesSequentialRequests) {

@@ -559,9 +559,10 @@ int CmdBatch(const std::map<std::string, std::string>& flags) {
     const CacheStats cache_stats = engine.cache().stats();
     char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "opq cache: %.1f%% hit rate, %llu evictions, %llu bytes "
-                  "resident\n",
+                  "opq cache: %.1f%% hit rate, %llu entries, %llu evictions, "
+                  "%llu bytes resident\n",
                   cache_stats.hit_rate() * 100.0,
+                  static_cast<unsigned long long>(cache_stats.entries),
                   static_cast<unsigned long long>(cache_stats.evictions),
                   static_cast<unsigned long long>(cache_stats.bytes));
     cache_line = buf;
@@ -724,7 +725,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
       "%.3f s\n"
       "%llu flushes (%llu size, %llu deadline, %llu drain), "
       "solve %.3f s, cost %.4f\n"
-      "opq cache: %llu hits, %llu misses (%.1f%% hit rate), "
+      "opq cache: %llu hits, %llu misses (%.1f%% hit rate), %llu entries, "
       "%llu evictions, %llu bytes resident (peak %llu)\n"
       "backpressure: %llu rejected, %llu shed, %llu blocked "
       "(peak queue %llu atomic / %llu bytes)\n",
@@ -739,6 +740,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
       static_cast<unsigned long long>(cache_stats.hits),
       static_cast<unsigned long long>(cache_stats.misses),
       cache_stats.hit_rate() * 100.0,
+      static_cast<unsigned long long>(cache_stats.entries),
       static_cast<unsigned long long>(cache_stats.evictions),
       static_cast<unsigned long long>(cache_stats.bytes),
       static_cast<unsigned long long>(cache_stats.peak_bytes),
